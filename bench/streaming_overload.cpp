@@ -323,7 +323,7 @@ struct Scenario
  * fronthaul would deliver genuinely new air data) — in the inline
  * configuration that cost lands on the dispatch thread, inside the
  * admission loop, where it competes with admitting, reaping and
- * shedding; offloaded, it moves to one producer thread per cell and
+ * shedding; offloaded, it moves to the shared producer thread and
  * the dispatch loop only moves frame pointers.  Under calibrated 2x
  * overload the dispatch thread is the bottleneck resource, so the
  * offloaded configuration sustains a higher completion rate / lower

@@ -91,10 +91,13 @@ for inflight in 1 4; do
         --gtest_filter='StreamingOverload.*:StreamingParity.*'
 done
 
-# Multi-cell soak under TSan: two cells racing one shared pool through
-# the WRR admission path and the per-cell reap lanes.
-echo "==> tsan multi-cell soak (LTE_CELLS=2)"
-LTE_CELLS=2 ./build-tsan/tests/test_multicell
+# Multi-cell soak under TSan: one lane (the single-cell streaming
+# engine's own path) and two cells racing one shared pool through the
+# WRR admission path and the per-cell reap lanes.
+for cells in 1 2; do
+    echo "==> tsan multi-cell soak (LTE_CELLS=${cells})"
+    LTE_CELLS="${cells}" ./build-tsan/tests/test_multicell
+done
 
 # Continuation-graph sweep: the task-graph suite honours LTE_WORKERS.
 # The 1-worker leg is the no-blocking-joins proof — a single worker

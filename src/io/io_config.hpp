@@ -3,9 +3,9 @@
  * Sample-plane configuration: how an engine's input arrives.
  *
  * Disabled (the default) keeps the historical in-process behaviour —
- * the admission loop synthesizes its own input inline.  Enabled, a
- * dedicated producer thread per cell fills pooled IQ frames from a
- * SampleSource and the admission loop merely consumes ready frames,
+ * the admission loop synthesizes its own input inline.  Enabled, one
+ * dedicated producer thread fills every cell's pooled IQ frames from
+ * its SampleSource and the admission loop merely consumes ready frames,
  * which is the paper's actual deployment shape (samples arrive from a
  * fronthaul every TTI whether the receiver is ready or not).
  */

@@ -146,14 +146,13 @@ struct FeedStats
     std::atomic<std::uint64_t> late{0};
 };
 
-/** Pacing and delivery policy of one feed (one cell). */
+/** Pacing and delivery policy shared by every lane of a feed. */
 struct FeedConfig
 {
     /** Scheduled inter-frame gap in ms (the TTI); 0 = free-running. */
     double delta_ms = 0.0;
     /** Uniform jitter amplitude added to each tick, U[0, jitter_ms). */
     double jitter_ms = 0.0;
-    std::uint64_t jitter_seed = 1;
     /**
      * Lossless mode: block on pool exhaustion instead of dropping.
      * Pairs with the engines' deadline_ms == 0 backpressure mode so
@@ -166,50 +165,6 @@ struct FeedConfig
      * admission deadlines; defaults to steady_clock.
      */
     std::function<std::uint64_t()> now_ns;
-    /** Optional Recorder tap: every published frame is also written
-     *  here, on the producer thread (off the receiver path). */
-    CaptureWriter *recorder = nullptr;
-};
-
-/**
- * The producer thread: paces a SampleSource onto a SampleTransport.
- * start() launches, stop() joins (also called by the destructor).
- * The transport and source must outlive the feed.
- */
-class SampleFeed
-{
-  public:
-    SampleFeed(SampleTransport &transport, SampleSource &source,
-               FeedConfig config);
-    ~SampleFeed();
-
-    SampleFeed(const SampleFeed &) = delete;
-    SampleFeed &operator=(const SampleFeed &) = delete;
-
-    /** Launch the producer for @p n_subframes ticks. */
-    void start(std::uint64_t n_subframes);
-
-    /** Signal the producer to exit and join it. Idempotent. */
-    void stop();
-
-    /** True once the producer has delivered (or lost) every tick. */
-    bool finished() const
-    {
-        return finished_.load(std::memory_order_acquire);
-    }
-
-    const FeedStats &stats() const { return stats_; }
-
-  private:
-    void run(std::uint64_t n_subframes);
-
-    SampleTransport &transport_;
-    SampleSource &source_;
-    FeedConfig config_;
-    FeedStats stats_;
-    std::thread thread_;
-    std::atomic<bool> stop_{false};
-    std::atomic<bool> finished_{false};
 };
 
 /** One lane of a MultiSampleFeed: a cell's transport + source pair,
@@ -218,31 +173,31 @@ struct FeedLane
 {
     SampleTransport *transport = nullptr;
     SampleSource *source = nullptr;
-    /** Optional per-lane recorder tap (runs on the producer thread). */
+    /** Optional Recorder tap: every frame published on this lane is
+     *  also written here, on the producer thread (off the receiver
+     *  path). */
     CaptureWriter *recorder = nullptr;
     /** Per-lane jitter stream so staggered cells stay decorrelated. */
     std::uint64_t jitter_seed = 1;
 };
 
 /**
- * One producer thread pacing N cell lanes on a shared TTI grid.
+ * The producer thread: paces N lanes (one per cell; a single-cell
+ * engine runs one) on a shared TTI grid.  start() launches, stop()
+ * joins (also called by the destructor).  Every lane's transport and
+ * source must outlive the feed.
  *
- * Running one free-running SampleFeed thread per cell oversubscribes
- * a core as soon as n_cells producers yield-spin toward the same tick
- * — the 2/4-cell offloaded rows of bench/streaming_overload measured
- * producer scheduling noise, not receiver capacity.  This feed walks
- * the grid once: each tick it draws every lane's jittered delivery
- * time, visits the lanes in that order (sleeping toward each), and
- * produces into the lane's own transport, so the SPSC single-producer
- * contract per ring is kept by construction and the host spends one
- * pacing loop regardless of cell count.
+ * One feed walks the grid once for all lanes: each tick it draws
+ * every lane's jittered delivery time, visits the lanes in that order
+ * (sleeping toward each), and produces into the lane's own transport,
+ * so the SPSC single-producer contract per ring is kept by
+ * construction and the host spends one pacing loop regardless of cell
+ * count (one thread per cell would yield-spin n_cells producers
+ * toward the same tick and oversubscribe a core).
  *
- * delta_ms / jitter_ms / lossless / now_ns come from the shared
- * FeedConfig (FeedConfig::jitter_seed and ::recorder are ignored —
- * they are per-lane here).  In lossless mode a stalled lane blocks
- * the whole producer, which is exactly the backpressure semantics of
- * the shared grid: no lane's stream may advance past a tick another
- * lane still owes.
+ * In lossless mode a stalled lane blocks the whole producer, which is
+ * exactly the backpressure semantics of the shared grid: no lane's
+ * stream may advance past a tick another lane still owes.
  */
 class MultiSampleFeed
 {
@@ -267,7 +222,7 @@ class MultiSampleFeed
 
     std::size_t n_lanes() const { return lanes_.size(); }
 
-    /** Per-lane producer counters (same contract as SampleFeed). */
+    /** Per-lane producer counters, readable from any thread. */
     const FeedStats &stats(std::size_t lane) const;
 
   private:

@@ -40,7 +40,6 @@ enum class SpanKind : std::uint8_t
     kChanEst,  ///< one channel-estimation task (antenna x layer)
     kWeights,  ///< combiner-weight join (a continuation task)
     kDemod,    ///< one demodulation task (data symbol x layer)
-    kTail,     ///< legacy whole-user tail (descramble..CRC, serial)
     kUser,     ///< a whole user's chain (serial engine)
     kSteal,    ///< instant: a task was stolen (arg = victim worker)
     kNap,      ///< proactively deactivated worker sleeping (Sec. V-B)
@@ -57,7 +56,7 @@ enum class SpanKind : std::uint8_t
 };
 
 /** Number of distinct span kinds (for fixed-size per-kind tallies). */
-inline constexpr std::size_t kSpanKindCount = 17;
+inline constexpr std::size_t kSpanKindCount = 16;
 
 /** Short stable name used in exports ("chanest", "demod", ...). */
 const char *span_kind_name(SpanKind kind);
@@ -65,10 +64,11 @@ const char *span_kind_name(SpanKind kind);
 /**
  * Cell tagging for span arguments: the serving cell rides in the top
  * 16 bits of the 64-bit payload, leaving 48 bits for the original
- * value (user id, task index, subframe index).  Single-cell engines
- * record untagged args (cell field 0), so existing traces and their
- * consumers are unchanged; the multi-cell engine tags its dispatch /
- * shed / subframe events so one shared trace can be split by cell.
+ * value (user id, task index, subframe index).  The serial and
+ * work-stealing engines record untagged args (cell field 0); the
+ * multi-cell engine, and with it the streaming engine (its one-lane
+ * case, so cell 1), tags its dispatch / shed / subframe / io events so
+ * one shared trace can be split by cell.
  */
 inline constexpr std::uint64_t
 make_cell_arg(std::uint32_t cell_id, std::uint64_t value)
@@ -77,7 +77,7 @@ make_cell_arg(std::uint32_t cell_id, std::uint64_t value)
            (value & 0xFFFFFFFFFFFFULL);
 }
 
-/** The cell tag of a span argument (0 = untagged single-cell). */
+/** The cell tag of a span argument (0 = untagged). */
 inline constexpr std::uint32_t
 arg_cell(std::uint64_t arg)
 {

@@ -2,8 +2,8 @@
  * @file
  * Shared admission-plane helpers for the subframe engines.
  *
- * Every engine that dispatches SubframeJobs — lock-step work-stealing,
- * single-cell streaming, and each cell lane of the multi-cell engine —
+ * Every engine that dispatches SubframeJobs — lock-step work-stealing
+ * and each cell lane of the multi-cell (and so the streaming) engine —
  * performs the same three admission-plane chores: checking whether a
  * job's continuation graph has fully drained (job_done), harvesting a
  * completed job's scalar outcomes (collect), and recycling jobs

@@ -76,6 +76,74 @@ make_engine(const EngineConfig &config)
     return nullptr;
 }
 
+// ------------------------------------------------------- observability
+
+void
+EngineObs::init(const obs::ObsConfig &config, std::size_t n_slots,
+                bool admission, bool io)
+{
+    deadline_ms = config.deadline_ms;
+    if (config.enabled) {
+        // Preallocated before any worker starts so recording never
+        // allocates.
+        tracer = std::make_unique<obs::Tracer>(n_slots, config);
+        series = std::make_unique<obs::SubframeSeries>(
+            config.series_capacity);
+    }
+    // Metrics are independent of tracing: engine.deadline_misses and
+    // friends must count whenever metrics are on, not only when the
+    // span rings happen to be allocated.
+    if (!config.enabled && !config.metrics_enabled)
+        return;
+    metrics = std::make_unique<obs::MetricsRegistry>();
+    subframes = &metrics->counter("engine.subframes");
+    users = &metrics->counter("engine.users");
+    deadline_misses = &metrics->counter("engine.deadline_misses");
+    if (admission) {
+        submitted = &metrics->counter("engine.submitted");
+        admitted = &metrics->counter("engine.admitted");
+        completed = &metrics->counter("engine.completed");
+        shed = &metrics->counter("engine.shed");
+        shed_queue_full = &metrics->counter("engine.shed_queue_full");
+        shed_expired = &metrics->counter("engine.shed_expired");
+        degraded = &metrics->counter("engine.degraded");
+    }
+    if (io) {
+        io_lost = &metrics->counter("io.lost");
+        io_late = &metrics->counter("io.late");
+    }
+}
+
+std::uint64_t
+EngineObs::now_ns() const
+{
+    if (tracer)
+        return tracer->now_ns();
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - epoch)
+            .count());
+}
+
+bool
+EngineObs::complete(std::size_t slot, std::uint64_t t_span_begin,
+                    std::uint64_t arg, const obs::SubframeSample &sample)
+{
+    if (tracer) {
+        tracer->record(slot, obs::SpanKind::kSubframe, t_span_begin,
+                       sample.t_complete_ns, arg);
+        series->push(sample);
+    }
+    if (!metrics)
+        return false;
+    subframes->add();
+    users->add(sample.n_users);
+    const bool miss = sample.latency_ms() > deadline_ms;
+    if (miss)
+        deadline_misses->add();
+    return miss;
+}
+
 // ------------------------------------------------------------ serial
 
 SerialEngine::SerialEngine(const EngineConfig &config)
@@ -83,54 +151,9 @@ SerialEngine::SerialEngine(const EngineConfig &config)
 {
     config_.validate();
     config_.kind = EngineKind::kSerial;
-    init_obs();
+    obs_.init(config_.obs, 1);
     // The serial engine runs kernels on the caller's thread.
     phy::warm_kernel_scratch();
-}
-
-void
-SerialEngine::init_obs()
-{
-    if (config_.obs.enabled) {
-        tracer_ = std::make_unique<obs::Tracer>(1, config_.obs);
-        series_ = std::make_unique<obs::SubframeSeries>(
-            config_.obs.series_capacity);
-    }
-    // Metrics are independent of tracing: engine.deadline_misses and
-    // friends must count whenever metrics are on, not only when the
-    // span rings happen to be allocated.
-    if (config_.obs.enabled || config_.obs.metrics_enabled) {
-        metrics_ = std::make_unique<obs::MetricsRegistry>();
-        // Cache the hot-path counters so steady-state updates never
-        // take the registry lock or allocate.
-        subframes_counter_ = &metrics_->counter("engine.subframes");
-        users_counter_ = &metrics_->counter("engine.users");
-        deadline_miss_counter_ =
-            &metrics_->counter("engine.deadline_misses");
-    }
-}
-
-std::uint64_t
-SerialEngine::obs_now_ns() const
-{
-    if (tracer_)
-        return tracer_->now_ns();
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
-}
-
-SerialEngine::SerialEngine(const phy::ReceiverConfig &receiver,
-                           const InputGeneratorConfig &input)
-    : SerialEngine([&] {
-          EngineConfig cfg;
-          cfg.kind = EngineKind::kSerial;
-          cfg.receiver = receiver;
-          cfg.input = input;
-          return cfg;
-      }())
-{
 }
 
 const SubframeOutcome &
@@ -139,14 +162,14 @@ SerialEngine::process_subframe(const phy::SubframeParams &params)
     params.validate();
     input_.signals_for(params, signals_);
 
-    const bool observing = tracer_ || metrics_;
-    const std::uint64_t t_dispatch = observing ? obs_now_ns() : 0;
+    obs::Tracer *tracer = obs_.tracer.get();
+    const std::uint64_t t_dispatch = obs_.observing() ? obs_.now_ns() : 0;
 
     outcome_.subframe_index = params.subframe_index;
     outcome_.cell_id = params.cell_id;
     outcome_.users.resize(params.users.size());
     for (std::size_t u = 0; u < params.users.size(); ++u) {
-        const std::uint64_t t_user = tracer_ ? tracer_->now_ns() : 0;
+        const std::uint64_t t_user = tracer ? tracer->now_ns() : 0;
         proc_.bind(params.users[u], signals_[u]);
         const phy::UserResult &result = proc_.process_all();
         UserOutcome &out = outcome_.users[u];
@@ -156,33 +179,24 @@ SerialEngine::process_subframe(const phy::SubframeParams &params)
         out.crc_modelled = result.crc_modelled;
         out.evm_rms = result.evm_rms;
         out.decode_iterations = result.decode_iterations;
-        if (tracer_) {
-            tracer_->record(0, obs::SpanKind::kUser, t_user,
-                            tracer_->now_ns(), result.user_id);
+        if (tracer) {
+            tracer->record(0, obs::SpanKind::kUser, t_user,
+                           tracer->now_ns(), result.user_id);
         }
     }
 
-    if (observing) {
-        const std::uint64_t t_complete = obs_now_ns();
+    if (obs_.observing()) {
         obs::SubframeSample sample;
         sample.subframe_index = params.subframe_index;
         sample.cell_id = params.cell_id;
         sample.t_dispatch_ns = t_dispatch;
-        sample.t_complete_ns = t_complete;
+        sample.t_complete_ns = obs_.now_ns();
         sample.n_users = static_cast<std::uint32_t>(params.users.size());
         sample.active_workers = 1;
         sample.ops =
             subframe_ops(params, config_.receiver.n_antennas,
                          phy::decode_model(config_.receiver));
-        if (tracer_) {
-            tracer_->record(0, obs::SpanKind::kSubframe, t_dispatch,
-                            t_complete, params.subframe_index);
-            series_->push(sample);
-        }
-        subframes_counter_->add();
-        users_counter_->add(params.users.size());
-        if (sample.latency_ms() > config_.obs.deadline_ms)
-            deadline_miss_counter_->add();
+        obs_.complete(0, t_dispatch, params.subframe_index, sample);
     }
     if (config_.feedback) {
         config_.feedback->on_subframe_complete(outcome_,
@@ -224,35 +238,10 @@ WorkStealingEngine::WorkStealingEngine(const EngineConfig &config)
 {
     config_.validate();
     config_.kind = EngineKind::kWorkStealing;
-    if (config_.obs.enabled) {
-        // One ring per worker plus the dispatch thread, preallocated
-        // before the pool starts so recording never allocates.
-        tracer_ = std::make_unique<obs::Tracer>(
-            config_.pool.n_workers + 1, config_.obs);
-        series_ = std::make_unique<obs::SubframeSeries>(
-            config_.obs.series_capacity);
-        config_.pool.tracer = tracer_.get();
-    }
-    // Metrics are independent of tracing (see SerialEngine::init_obs).
-    if (config_.obs.enabled || config_.obs.metrics_enabled) {
-        metrics_ = std::make_unique<obs::MetricsRegistry>();
-        subframes_counter_ = &metrics_->counter("engine.subframes");
-        users_counter_ = &metrics_->counter("engine.users");
-        deadline_miss_counter_ =
-            &metrics_->counter("engine.deadline_misses");
-    }
+    // One ring per worker plus the dispatch thread.
+    obs_.init(config_.obs, config_.pool.n_workers + 1);
+    config_.pool.tracer = obs_.tracer.get();
     pool_ = std::make_unique<WorkerPool>(config_.pool);
-}
-
-std::uint64_t
-WorkStealingEngine::obs_now_ns() const
-{
-    if (tracer_)
-        return tracer_->now_ns();
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
 }
 
 void
@@ -286,6 +275,22 @@ WorkStealingEngine::apply_estimator(const phy::SubframeParams &params)
 }
 
 void
+WorkStealingEngine::observe_dispatch(SubframeJob &job, double estimate)
+{
+    if (!obs_.observing())
+        return;
+    job.t_dispatch_ns = obs_.now_ns();
+    job.t_arrival_ns = job.t_dispatch_ns;
+    job.est_activity = estimate;
+    if (obs_.tracer) {
+        obs_.tracer->record_instant(dispatch_slot(),
+                                    obs::SpanKind::kDispatch,
+                                    job.t_dispatch_ns,
+                                    job.params.subframe_index);
+    }
+}
+
+void
 WorkStealingEngine::observe_completion(const SubframeJob &job,
                                        std::uint64_t t_complete_ns)
 {
@@ -301,18 +306,25 @@ WorkStealingEngine::observe_completion(const SubframeJob &job,
     sample.ops = subframe_ops(
         job.params, config_.receiver.n_antennas,
         phy::decode_model(config_.receiver, job.degrade_level));
-    if (tracer_) {
-        tracer_->record(dispatch_slot(), obs::SpanKind::kSubframe,
-                        job.t_dispatch_ns, t_complete_ns,
-                        job.params.subframe_index);
-        series_->push(sample);
+    obs_.complete(dispatch_slot(), job.t_dispatch_ns,
+                  job.params.subframe_index, sample);
+}
+
+void
+WorkStealingEngine::reap(SubframeJob *job, RunRecord &record)
+{
+    if (obs_.observing()) {
+        // A zero-user job is never submitted: it completes at its
+        // dispatch instant.
+        observe_completion(*job, job->n_users == 0 ? job->t_dispatch_ns
+                                                   : obs_.now_ns());
     }
-    if (metrics_) {
-        subframes_counter_->add();
-        users_counter_->add(job.n_users);
-        if (sample.latency_ms() > config_.obs.deadline_ms)
-            deadline_miss_counter_->add();
+    record.subframes.push_back(collect(*job));
+    if (config_.feedback) {
+        config_.feedback->on_subframe_complete(record.subframes.back(),
+                                               job->degrade_level);
     }
+    job_pool_.release(job);
 }
 
 const SubframeOutcome &
@@ -324,24 +336,13 @@ WorkStealingEngine::process_subframe(const phy::SubframeParams &params)
 
     SubframeJob *job = job_pool_.acquire();
     job->prepare(params, signals_, config_.receiver);
-    const bool observing = tracer_ || metrics_;
-    if (observing) {
-        job->t_dispatch_ns = obs_now_ns();
-        job->t_arrival_ns = job->t_dispatch_ns;
-        job->est_activity = estimate;
-        if (tracer_) {
-            tracer_->record_instant(dispatch_slot(),
-                                    obs::SpanKind::kDispatch,
-                                    job->t_dispatch_ns,
-                                    params.subframe_index);
-        }
-    }
+    observe_dispatch(*job, estimate);
     if (job->n_users > 0) {
         pool_->submit(job);
         pool_->wait_idle();
     }
-    if (observing)
-        observe_completion(*job, obs_now_ns());
+    if (obs_.observing())
+        observe_completion(*job, obs_.now_ns());
 
     outcome_.subframe_index = params.subframe_index;
     outcome_.cell_id = params.cell_id;
@@ -371,21 +372,11 @@ WorkStealingEngine::run(workload::ParameterModel &model,
         std::chrono::duration_cast<clock::duration>(
             std::chrono::duration<double, std::milli>(config_.delta_ms));
 
-    const bool observing = tracer_ || metrics_;
     for (std::size_t i = 0; i < n_subframes; ++i) {
         // Flow control: keep at most max_in_flight subframes open.
         while (in_flight.size() >= config_.max_in_flight) {
             if (job_done(*in_flight.front())) {
-                if (observing)
-                    observe_completion(*in_flight.front(),
-                                       obs_now_ns());
-                record.subframes.push_back(collect(*in_flight.front()));
-                if (config_.feedback) {
-                    config_.feedback->on_subframe_complete(
-                        record.subframes.back(),
-                        in_flight.front()->degrade_level);
-                }
-                job_pool_.release(in_flight.front());
+                reap(in_flight.front(), record);
                 in_flight.pop_front();
             } else {
                 std::this_thread::yield();
@@ -406,27 +397,9 @@ WorkStealingEngine::run(workload::ParameterModel &model,
             next_dispatch += delta;
         }
 
-        if (observing) {
-            job->t_dispatch_ns = obs_now_ns();
-            job->t_arrival_ns = job->t_dispatch_ns;
-            job->est_activity = estimate;
-            if (tracer_) {
-                tracer_->record_instant(dispatch_slot(),
-                                        obs::SpanKind::kDispatch,
-                                        job->t_dispatch_ns,
-                                        params.subframe_index);
-            }
-        }
-
+        observe_dispatch(*job, estimate);
         if (job->n_users == 0) {
-            if (observing)
-                observe_completion(*job, job->t_dispatch_ns);
-            record.subframes.push_back(collect(*job));
-            if (config_.feedback) {
-                config_.feedback->on_subframe_complete(
-                    record.subframes.back(), job->degrade_level);
-            }
-            job_pool_.release(job);
+            reap(job, record);
         } else {
             pool_->submit(job);
             in_flight.push_back(job);
@@ -435,37 +408,12 @@ WorkStealingEngine::run(workload::ParameterModel &model,
 
     // Drain the tail.
     pool_->wait_idle();
-    while (!in_flight.empty()) {
-        LTE_ASSERT(job_done(*in_flight.front()),
-                   "pool idle but job incomplete");
-        if (observing)
-            observe_completion(*in_flight.front(), obs_now_ns());
-        record.subframes.push_back(collect(*in_flight.front()));
-        if (config_.feedback) {
-            config_.feedback->on_subframe_complete(
-                record.subframes.back(),
-                in_flight.front()->degrade_level);
-        }
-        job_pool_.release(in_flight.front());
-        in_flight.pop_front();
+    for (SubframeJob *job : in_flight) {
+        LTE_ASSERT(job_done(*job), "pool idle but job incomplete");
+        reap(job, record);
     }
 
-    const auto snap = pool_->activity();
-    record.wall_seconds =
-        std::chrono::duration<double>(clock::now() - run_start).count();
-    record.activity = snap.activity(pool_->n_workers());
-    record.total_ops = snap.ops;
-    record.steals = pool_->steals();
-    if (metrics_) {
-        // Run-level aggregates; cheap registry lookups off the hot path.
-        metrics_->gauge("engine.activity").set(record.activity);
-        metrics_->gauge("engine.wall_seconds").set(record.wall_seconds);
-        metrics_->counter("engine.steals").add(record.steals);
-        if (tracer_) {
-            metrics_->gauge("engine.trace_dropped")
-                .set(static_cast<double>(tracer_->total_dropped()));
-        }
-    }
+    obs_.finish_run(record, *pool_, run_start);
     return record;
 }
 

@@ -30,7 +30,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -47,13 +46,6 @@
 #include "runtime/task.hpp"
 #include "runtime/worker_pool.hpp"
 #include "workload/parameter_model.hpp"
-
-namespace lte::io {
-struct IqFrame;
-class SampleFeed;
-class SampleTransport;
-struct FeedStats;
-}
 
 namespace lte::runtime {
 
@@ -102,8 +94,8 @@ const char *shed_policy_name(ShedPolicy policy);
 
 /**
  * Admission tallies of one streaming run (also exported as engine.*
- * counters when metrics are enabled).  Shared by the single-cell
- * streaming engine and each cell lane of the multi-cell engine; the
+ * counters when metrics are enabled), one per cell lane of the
+ * multi-cell engine (the streaming engine is its one-lane case); the
  * per-run invariant is shed + completed == submitted.
  */
 struct ShedStats
@@ -193,6 +185,91 @@ struct EngineConfig
     void validate() const;
 };
 
+/**
+ * The observability block every engine owns: one copy of the set-up,
+ * the clock and the completion bookkeeping for the serial,
+ * work-stealing and multi-cell engines.
+ *
+ * With obs.enabled it holds a span tracer (one ring per thread slot),
+ * a per-subframe series and a metrics registry, all preallocated so
+ * steady-state recording stays allocation-free; obs.metrics_enabled
+ * grants the registry alone (counters work with tracing off).  The
+ * hot-path counters are cached so updates never take the registry
+ * lock or allocate.  Disabled, every recording site costs a single
+ * branch.
+ */
+struct EngineObs
+{
+    /**
+     * Build what @p config asks for: @p n_slots tracer rings and the
+     * engine.subframes / users / deadline_misses counters, plus the
+     * admission counters (engine.submitted .. engine.degraded) when
+     * @p admission and io.lost / io.late when @p io.
+     */
+    void init(const obs::ObsConfig &config, std::size_t n_slots,
+              bool admission = false, bool io = false);
+
+    /** True when anything records (the tracer implies metrics). */
+    bool observing() const { return metrics != nullptr; }
+
+    /** Monotonic ns: tracer epoch when tracing, engine epoch when only
+     *  metrics are on (accounting must not depend on the tracer). */
+    std::uint64_t now_ns() const;
+
+    /**
+     * Account one completed subframe: a kSubframe span on @p slot from
+     * @p t_span_begin to sample.t_complete_ns carrying @p arg, the
+     * series sample, and engine.subframes / users / deadline_misses.
+     * @return true when the subframe missed obs.deadline_ms.
+     */
+    bool complete(std::size_t slot, std::uint64_t t_span_begin,
+                  std::uint64_t arg, const obs::SubframeSample &sample);
+
+    /** Stamp a run's pool-level aggregates onto @p record and publish
+     *  them as engine.* gauges. */
+    template <class Record>
+    void
+    finish_run(Record &record, const WorkerPool &pool,
+               std::chrono::steady_clock::time_point start) const
+    {
+        const auto snap = pool.activity();
+        record.wall_seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+        record.activity = snap.activity(pool.n_workers());
+        record.total_ops = snap.ops;
+        record.steals = pool.steals();
+        if (metrics) {
+            metrics->gauge("engine.activity").set(record.activity);
+            metrics->gauge("engine.wall_seconds").set(record.wall_seconds);
+            metrics->counter("engine.steals").add(record.steals);
+            if (tracer) {
+                metrics->gauge("engine.trace_dropped")
+                    .set(static_cast<double>(tracer->total_dropped()));
+            }
+        }
+    }
+
+    std::unique_ptr<obs::Tracer> tracer;
+    std::unique_ptr<obs::SubframeSeries> series;
+    std::unique_ptr<obs::MetricsRegistry> metrics;
+    double deadline_ms = 0.0;
+    obs::Counter *subframes = nullptr;
+    obs::Counter *users = nullptr;
+    obs::Counter *deadline_misses = nullptr;
+    obs::Counter *submitted = nullptr;
+    obs::Counter *admitted = nullptr;
+    obs::Counter *completed = nullptr;
+    obs::Counter *shed = nullptr;
+    obs::Counter *shed_queue_full = nullptr;
+    obs::Counter *shed_expired = nullptr;
+    obs::Counter *degraded = nullptr;
+    obs::Counter *io_lost = nullptr;
+    obs::Counter *io_late = nullptr;
+    std::chrono::steady_clock::time_point epoch =
+        std::chrono::steady_clock::now();
+};
+
 /** Abstract subframe-processing engine. */
 class Engine
 {
@@ -249,10 +326,6 @@ class SerialEngine : public Engine
   public:
     explicit SerialEngine(const EngineConfig &config);
 
-    /** Legacy convenience: receiver + input config only. */
-    SerialEngine(const phy::ReceiverConfig &receiver,
-                 const InputGeneratorConfig &input);
-
     const char *name() const override { return "serial"; }
     const SubframeOutcome &
     process_subframe(const phy::SubframeParams &params) override;
@@ -265,36 +338,21 @@ class SerialEngine : public Engine
     WorkerPool *worker_pool() override { return nullptr; }
     InputGenerator &input() override { return input_; }
     const EngineConfig &config() const override { return config_; }
-    obs::Tracer *tracer() override { return tracer_.get(); }
+    obs::Tracer *tracer() override { return obs_.tracer.get(); }
     const obs::SubframeSeries *subframe_series() const override
     {
-        return series_.get();
+        return obs_.series.get();
     }
-    obs::MetricsRegistry *metrics() override { return metrics_.get(); }
+    obs::MetricsRegistry *metrics() override { return obs_.metrics.get(); }
 
   private:
-    void init_obs();
-    /** Monotonic ns: tracer epoch when tracing, engine epoch when only
-     *  metrics are on (accounting must not depend on the tracer). */
-    std::uint64_t obs_now_ns() const;
-
     EngineConfig config_;
     InputGenerator input_;
     /** One processor, re-bound per user; arena reused across users. */
     phy::UserProcessor proc_;
     std::vector<const phy::UserSignal *> signals_;
     SubframeOutcome outcome_;
-
-    /** Tracing state (null unless config.obs.enabled); metrics_ is
-     *  live whenever obs.enabled or obs.metrics_enabled. */
-    std::unique_ptr<obs::Tracer> tracer_;
-    std::unique_ptr<obs::SubframeSeries> series_;
-    std::unique_ptr<obs::MetricsRegistry> metrics_;
-    obs::Counter *subframes_counter_ = nullptr;
-    obs::Counter *users_counter_ = nullptr;
-    obs::Counter *deadline_miss_counter_ = nullptr;
-    const std::chrono::steady_clock::time_point epoch_ =
-        std::chrono::steady_clock::now();
+    EngineObs obs_;
 };
 
 /**
@@ -317,15 +375,12 @@ class WorkStealingEngine : public Engine
     WorkerPool *worker_pool() override { return pool_.get(); }
     InputGenerator &input() override { return input_; }
     const EngineConfig &config() const override { return config_; }
-    obs::Tracer *tracer() override { return tracer_.get(); }
+    obs::Tracer *tracer() override { return obs_.tracer.get(); }
     const obs::SubframeSeries *subframe_series() const override
     {
-        return series_.get();
+        return obs_.series.get();
     }
-    obs::MetricsRegistry *metrics() override { return metrics_.get(); }
-
-    /** Legacy convenience (UplinkBenchmark API). */
-    WorkerPool &pool() { return *pool_; }
+    obs::MetricsRegistry *metrics() override { return obs_.metrics.get(); }
 
   private:
     /** Eq. 5 core deactivation; returns the Eq. 4 estimate (-1 when
@@ -333,15 +388,17 @@ class WorkStealingEngine : public Engine
     double apply_estimator(const phy::SubframeParams &params);
     /** The tracer slot used by the dispatch/maintenance thread. */
     std::size_t dispatch_slot() const { return config_.pool.n_workers; }
+    /** Stamp a job's dispatch time (and its kDispatch instant). */
+    void observe_dispatch(SubframeJob &job, double estimate);
     /** Record one completed job into the series/metrics/trace. */
     void observe_completion(const SubframeJob &job,
                             std::uint64_t t_complete_ns);
-    /** Monotonic ns: tracer epoch when tracing, engine epoch when only
-     *  metrics are on (accounting must not depend on the tracer). */
-    std::uint64_t obs_now_ns() const;
+    /** Harvest a completed job into @p record and release it. */
+    void reap(SubframeJob *job, RunRecord &record);
 
     EngineConfig config_;
     InputGenerator input_;
+    EngineObs obs_;
     std::unique_ptr<WorkerPool> pool_;
     std::optional<mgmt::WorkloadEstimator> estimator_;
 
@@ -349,136 +406,48 @@ class WorkStealingEngine : public Engine
     admission::JobPool job_pool_;
     std::vector<const phy::UserSignal *> signals_;
     SubframeOutcome outcome_;
-
-    /** Tracing state (null unless config.obs.enabled); metrics_ is
-     *  live whenever obs.enabled or obs.metrics_enabled. */
-    std::unique_ptr<obs::Tracer> tracer_;
-    std::unique_ptr<obs::SubframeSeries> series_;
-    std::unique_ptr<obs::MetricsRegistry> metrics_;
-    obs::Counter *subframes_counter_ = nullptr;
-    obs::Counter *users_counter_ = nullptr;
-    obs::Counter *deadline_miss_counter_ = nullptr;
-    const std::chrono::steady_clock::time_point epoch_ =
-        std::chrono::steady_clock::now();
 };
 
+class MultiCellEngine;
+
 /**
- * The streaming engine (the tentpole of the subframe-based power
- * management study's overload behaviour): a TTI-paced arrival source
- * feeds a bounded admission ring of pooled jobs; up to max_in_flight
- * subframes execute concurrently on the work-stealing pool, each
- * waited on individually (WorkerPool::wait_job) instead of through the
- * global wait_idle() barrier.  An admission controller enforces
- * deadline_ms: when the ring is full or a queued subframe has aged
- * past the deadline, it sheds by the configured ShedPolicy and records
- * the decision (SpanKind::kShed, engine.shed* counters).  With
- * deadline_ms == 0 the engine is lossless and applies backpressure
- * instead, which makes its output bit-identical to the lock-step
- * engines for the same model stream.
+ * The streaming engine: a one-lane MultiCellEngine serving
+ * receiver.cell_id behind the single-model Engine interface.  A
+ * TTI-paced arrival source feeds a bounded admission ring; up to
+ * max_in_flight subframes execute concurrently on the work-stealing
+ * pool, and the admission controller sheds or degrades by the
+ * configured ShedPolicy once deadline_ms is spent (see
+ * runtime/multicell.hpp).  With deadline_ms == 0 the engine is
+ * lossless and applies backpressure instead, which makes its output
+ * bit-identical to the lock-step engines for the same model stream.
  */
 class StreamingEngine : public Engine
 {
   public:
     explicit StreamingEngine(const EngineConfig &config);
+    ~StreamingEngine() override;
 
     const char *name() const override { return "streaming"; }
     const SubframeOutcome &
     process_subframe(const phy::SubframeParams &params) override;
+    /** The lane's record, carrying the pool-level wall clock,
+     *  activity, total_ops and steals. */
     RunRecord run(workload::ParameterModel &model,
                   std::size_t n_subframes) override;
     void set_estimator(
         std::optional<mgmt::WorkloadEstimator> estimator) override;
-    WorkerPool *worker_pool() override { return pool_.get(); }
-    InputGenerator &input() override { return input_; }
-    const EngineConfig &config() const override { return config_; }
-    obs::Tracer *tracer() override { return tracer_.get(); }
-    const obs::SubframeSeries *subframe_series() const override
-    {
-        return series_.get();
-    }
-    obs::MetricsRegistry *metrics() override { return metrics_.get(); }
+    WorkerPool *worker_pool() override;
+    InputGenerator &input() override;
+    const EngineConfig &config() const override;
+    obs::Tracer *tracer() override;
+    const obs::SubframeSeries *subframe_series() const override;
+    obs::MetricsRegistry *metrics() override;
 
     /** Admission tallies of the last run(). */
-    const ShedStats &shed_stats() const { return shed_stats_; }
+    const ShedStats &shed_stats() const;
 
   private:
-    /** Eq. 4/5 with backlog awareness (queued + executing jobs) and,
-     *  on degrade flips, the shed level's cheaper cost model. */
-    double
-    apply_estimator(const phy::SubframeParams &params,
-                    std::size_t backlog,
-                    phy::DegradeLevel level = phy::DegradeLevel::kNone);
-    std::size_t dispatch_slot() const { return config_.pool.n_workers; }
-    std::uint64_t obs_now_ns() const;
-    /** Age of a prepared-but-unfinished job in milliseconds. */
-    double age_ms(const SubframeJob &job, std::uint64_t now_ns) const;
-    void observe_completion(const SubframeJob &job,
-                            std::uint64_t t_complete_ns);
-    /** Account one shed subframe (kShed span + counters). */
-    void observe_shed(std::uint64_t subframe_index, bool expired);
-    /** Submit the pending front while in-flight slots are free; sheds
-     *  expired entries and flips long-waiting ones to the degraded
-     *  chain under ShedPolicy::kDegrade. */
-    void admit_pending();
-    /** Pop completed jobs off the executing front, in order. */
-    void reap_completed(RunRecord &record);
-    /** Block until the oldest executing job finishes, then reap. */
-    void drain_one(RunRecord &record);
-    /** Release a job back to the pool, recycling its sample-plane
-     *  frame (if any) to the transport's free ring first. */
-    void release_job(SubframeJob *job);
-    /** Fold producer-side frame losses into the shed accounting. */
-    void sync_io_stats(const io::FeedStats &stats);
-    /** The sample-plane run loop (config.io.enabled). */
-    RunRecord run_offloaded(workload::ParameterModel &model,
-                            std::size_t n_subframes);
-
-    EngineConfig config_;
-    InputGenerator input_;
-    std::unique_ptr<WorkerPool> pool_;
-    std::optional<mgmt::WorkloadEstimator> estimator_;
-
-    /** Pooled jobs; at most admission_queue + max_in_flight + 1 ever
-     *  exist. */
-    admission::JobPool job_pool_;
-    std::vector<const phy::UserSignal *> signals_;
-    SubframeOutcome outcome_;
-
-    /** Prepared subframes waiting for an in-flight slot (the
-     *  admission ring; bounded by config.admission_queue). */
-    std::deque<SubframeJob *> pending_;
-    /** Submitted subframes, oldest first (bounded by max_in_flight). */
-    std::deque<SubframeJob *> executing_;
-
-    /** Live only inside run_offloaded(): the frame recycling target
-     *  for release_job().  Null on the inline path. */
-    io::SampleTransport *transport_ = nullptr;
-    /** Producer-side loss/late counts already folded into
-     *  shed_stats_ (consumed deltas of the feed's atomics). */
-    std::uint64_t io_lost_synced_ = 0;
-    std::uint64_t io_late_synced_ = 0;
-
-    ShedStats shed_stats_;
-
-    /** Tracing state (null unless config.obs.enabled); metrics_ is
-     *  live whenever obs.enabled or obs.metrics_enabled. */
-    std::unique_ptr<obs::Tracer> tracer_;
-    std::unique_ptr<obs::SubframeSeries> series_;
-    std::unique_ptr<obs::MetricsRegistry> metrics_;
-    obs::Counter *subframes_counter_ = nullptr;
-    obs::Counter *users_counter_ = nullptr;
-    obs::Counter *deadline_miss_counter_ = nullptr;
-    obs::Counter *submitted_counter_ = nullptr;
-    obs::Counter *admitted_counter_ = nullptr;
-    obs::Counter *completed_counter_ = nullptr;
-    obs::Counter *shed_counter_ = nullptr;
-    obs::Counter *shed_queue_full_counter_ = nullptr;
-    obs::Counter *shed_expired_counter_ = nullptr;
-    obs::Counter *degraded_counter_ = nullptr;
-    obs::Counter *io_lost_counter_ = nullptr;
-    obs::Counter *io_late_counter_ = nullptr;
-    const std::chrono::steady_clock::time_point epoch_ =
-        std::chrono::steady_clock::now();
+    std::unique_ptr<MultiCellEngine> lane_;
 };
 
 } // namespace lte::runtime

@@ -21,8 +21,11 @@
  * converge to the ratio of their weights instead of whichever cell
  * the dispatch loop happened to visit first.
  *
+ * The single-cell StreamingEngine is this engine with one lane, so
+ * the streaming admission policy has exactly one implementation.
+ *
  * Invariants (tests/test_multicell.cpp):
- *  - a 1-cell engine is bit-identical to the single-cell engines over
+ *  - a 1-cell engine is bit-identical to the serial reference over
  *    the same model stream (digest parity), because every cell-id
  *    derivation is the identity at cell 1;
  *  - per cell, record order is arrival order and the per-cell record
@@ -36,6 +39,7 @@
 #ifndef LTE_RUNTIME_MULTICELL_HPP
 #define LTE_RUNTIME_MULTICELL_HPP
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -150,15 +154,15 @@ class MultiCellEngine
     void set_estimator(std::optional<mgmt::WorkloadEstimator> estimator);
 
     /** Span tracer, or nullptr when observability is disabled. */
-    obs::Tracer *tracer() { return tracer_.get(); }
+    obs::Tracer *tracer() { return obs_.tracer.get(); }
     /** Cell-tagged per-subframe series, or nullptr when disabled. */
     const obs::SubframeSeries *subframe_series() const
     {
-        return series_.get();
+        return obs_.series.get();
     }
     /** Metrics registry (aggregate engine.* plus per-cell
      *  engine.cell<id>.* counters), or nullptr when disabled. */
-    obs::MetricsRegistry *metrics() { return metrics_.get(); }
+    obs::MetricsRegistry *metrics() { return obs_.metrics.get(); }
 
     /**
      * Process one subframe of one cell synchronously (the engine must
@@ -230,7 +234,6 @@ class MultiCellEngine
     {
         return config_.engine.pool.n_workers;
     }
-    std::uint64_t obs_now_ns() const;
     double age_ms(const SubframeJob &job, std::uint64_t now_ns) const;
 
     /** Eq. 5 over the clamped sum of the cells' last estimates. */
@@ -258,16 +261,30 @@ class MultiCellEngine
     /** Fold one lane's producer-side frame losses into its shed
      *  accounting. */
     void sync_io_stats(CellContext &cell, const io::FeedStats &stats);
-    /** Run one popped frame through the lane's admission policy. */
-    void consume_frame(CellContext &cell, io::IqFrame *frame,
-                       MultiCellRunRecord &record);
+    /** Reset the per-run lane state and size the record. */
+    MultiCellRunRecord begin_run(std::size_t n_subframes);
+    /**
+     * The arrival admission policy, shared by the inline and the
+     * sample-plane loops: count the arrival, make room in the lane's
+     * ring (backpressure, drop-oldest or drop-newest), then queue a
+     * job for @p params.  Inline arrivals (@p frame null) synthesize
+     * their signals and are stamped now; a sample-plane @p frame lends
+     * its signals and producer stamp, and is recycled if dropped.
+     */
+    void admit_arrival(CellContext &cell,
+                       const phy::SubframeParams &params,
+                       io::IqFrame *frame, MultiCellRunRecord &record);
+    /** Check the per-cell invariants and stamp the run aggregates. */
+    void finish_run(MultiCellRunRecord &record,
+                    std::chrono::steady_clock::time_point start);
     /** The sample-plane run loop (engine.io.enabled): one producer
-     *  thread per cell, admission consumes ready frames. */
+     *  thread paces every lane, admission consumes ready frames. */
     MultiCellRunRecord
     run_offloaded(const std::vector<workload::ParameterModel *> &models,
                   std::size_t n_subframes);
 
     MultiCellConfig config_;
+    EngineObs obs_;
     std::unique_ptr<WorkerPool> pool_;
     std::vector<std::unique_ptr<CellContext>> cells_;
     std::optional<mgmt::WorkloadEstimator> estimator_;
@@ -280,24 +297,6 @@ class MultiCellEngine
     std::size_t rr_next_ = 0;
 
     SubframeOutcome outcome_;
-
-    std::unique_ptr<obs::Tracer> tracer_;
-    std::unique_ptr<obs::SubframeSeries> series_;
-    std::unique_ptr<obs::MetricsRegistry> metrics_;
-    obs::Counter *submitted_counter_ = nullptr;
-    obs::Counter *admitted_counter_ = nullptr;
-    obs::Counter *completed_counter_ = nullptr;
-    obs::Counter *shed_counter_ = nullptr;
-    obs::Counter *shed_queue_full_counter_ = nullptr;
-    obs::Counter *shed_expired_counter_ = nullptr;
-    obs::Counter *degraded_counter_ = nullptr;
-    obs::Counter *subframes_counter_ = nullptr;
-    obs::Counter *users_counter_ = nullptr;
-    obs::Counter *deadline_miss_counter_ = nullptr;
-    obs::Counter *io_lost_counter_ = nullptr;
-    obs::Counter *io_late_counter_ = nullptr;
-    const std::chrono::steady_clock::time_point epoch_ =
-        std::chrono::steady_clock::now();
 };
 
 } // namespace lte::runtime

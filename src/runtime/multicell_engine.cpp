@@ -4,12 +4,11 @@
  * deficit weighted-round-robin drain into one shared in-flight window
  * over the shared worker pool.
  *
- * Each lane reproduces the single-cell streaming engine's admission
- * semantics exactly (expiry at the ring head, the half-deadline
- * degrade mark, drop-newest/drop-oldest on a full ring, lossless
- * backpressure at deadline 0), so a 1-cell run is step-for-step the
- * single-cell engine and stays bit-identical to it.  What the
- * multi-cell engine adds is the arbitration between lanes: admission
+ * Every lane runs the one streaming admission policy (expiry at the
+ * ring head, the half-deadline degrade mark, drop-newest/drop-oldest
+ * on a full ring, lossless backpressure at deadline 0), inline or fed
+ * by the sample plane; the streaming engine is the one-lane case (see
+ * StreamingEngine at the end of this file).  Between lanes, admission
  * order into the shared window follows WRR credits, and completion
  * waits always target the globally oldest admitted job (smallest
  * admit_seq across the lanes' executing fronts) so no cell can stall
@@ -91,35 +90,10 @@ MultiCellEngine::MultiCellEngine(const MultiCellConfig &config)
 {
     config_.validate();
     config_.engine.kind = EngineKind::kStreaming;
-
-    if (config_.engine.obs.enabled) {
-        tracer_ = std::make_unique<obs::Tracer>(
-            config_.engine.pool.n_workers + 1, config_.engine.obs);
-        series_ = std::make_unique<obs::SubframeSeries>(
-            config_.engine.obs.series_capacity);
-        config_.engine.pool.tracer = tracer_.get();
-    }
-    if (config_.engine.obs.enabled ||
-        config_.engine.obs.metrics_enabled) {
-        metrics_ = std::make_unique<obs::MetricsRegistry>();
-        subframes_counter_ = &metrics_->counter("engine.subframes");
-        users_counter_ = &metrics_->counter("engine.users");
-        deadline_miss_counter_ =
-            &metrics_->counter("engine.deadline_misses");
-        submitted_counter_ = &metrics_->counter("engine.submitted");
-        admitted_counter_ = &metrics_->counter("engine.admitted");
-        completed_counter_ = &metrics_->counter("engine.completed");
-        shed_counter_ = &metrics_->counter("engine.shed");
-        shed_queue_full_counter_ =
-            &metrics_->counter("engine.shed_queue_full");
-        shed_expired_counter_ =
-            &metrics_->counter("engine.shed_expired");
-        degraded_counter_ = &metrics_->counter("engine.degraded");
-        if (config_.engine.io.enabled) {
-            io_lost_counter_ = &metrics_->counter("io.lost");
-            io_late_counter_ = &metrics_->counter("io.late");
-        }
-    }
+    // One ring per worker plus the dispatch thread.
+    obs_.init(config_.engine.obs, config_.engine.pool.n_workers + 1,
+              /*admission=*/true, /*io=*/config_.engine.io.enabled);
+    config_.engine.pool.tracer = obs_.tracer.get();
     pool_ = std::make_unique<WorkerPool>(config_.engine.pool);
 
     cells_.reserve(config_.n_cells);
@@ -133,18 +107,16 @@ MultiCellEngine::MultiCellEngine(const MultiCellConfig &config)
         cell->credits = cell->weight;
         cell->receiver = config_.engine.receiver;
         cell->receiver.cell_id = id;
-        if (metrics_) {
+        if (obs_.metrics) {
             const std::string prefix =
                 "engine.cell" + std::to_string(id);
-            cell->submitted_counter =
-                &metrics_->counter(prefix + ".submitted");
-            cell->completed_counter =
-                &metrics_->counter(prefix + ".completed");
-            cell->shed_counter = &metrics_->counter(prefix + ".shed");
-            cell->degraded_counter =
-                &metrics_->counter(prefix + ".degraded");
+            obs::MetricsRegistry &m = *obs_.metrics;
+            cell->submitted_counter = &m.counter(prefix + ".submitted");
+            cell->completed_counter = &m.counter(prefix + ".completed");
+            cell->shed_counter = &m.counter(prefix + ".shed");
+            cell->degraded_counter = &m.counter(prefix + ".degraded");
             cell->deadline_miss_counter =
-                &metrics_->counter(prefix + ".deadline_misses");
+                &m.counter(prefix + ".deadline_misses");
         }
         cells_.push_back(std::move(cell));
     }
@@ -184,17 +156,6 @@ MultiCellEngine::set_estimator(
     estimator_ = std::move(estimator);
 }
 
-std::uint64_t
-MultiCellEngine::obs_now_ns() const
-{
-    if (tracer_)
-        return tracer_->now_ns();
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
-}
-
 double
 MultiCellEngine::age_ms(const SubframeJob &job,
                         std::uint64_t now_ns) const
@@ -230,6 +191,8 @@ MultiCellEngine::observe_completion(CellContext &cell,
                                     std::uint64_t t_complete_ns)
 {
     ++cell.shed.completed;
+    if (!obs_.observing())
+        return;
     obs::SubframeSample sample;
     sample.subframe_index = job.params.subframe_index;
     sample.cell_id = cell.cell_id;
@@ -244,23 +207,14 @@ MultiCellEngine::observe_completion(CellContext &cell,
     sample.ops = subframe_ops(
         job.params, config_.engine.receiver.n_antennas,
         phy::decode_model(config_.engine.receiver, job.degrade_level));
-    if (tracer_) {
-        tracer_->record(dispatch_slot(), obs::SpanKind::kSubframe,
-                        job.t_dispatch_ns, t_complete_ns,
-                        obs::make_cell_arg(cell.cell_id,
-                                           job.params.subframe_index));
-        series_->push(sample);
-    }
-    if (metrics_) {
-        subframes_counter_->add();
-        completed_counter_->add();
-        users_counter_->add(job.n_users);
-        cell.completed_counter->add();
-        if (sample.latency_ms() > config_.engine.obs.deadline_ms) {
-            deadline_miss_counter_->add();
-            cell.deadline_miss_counter->add();
-        }
-    }
+    const bool missed = obs_.complete(
+        dispatch_slot(), job.t_dispatch_ns,
+        obs::make_cell_arg(cell.cell_id, job.params.subframe_index),
+        sample);
+    obs_.completed->add();
+    cell.completed_counter->add();
+    if (missed)
+        cell.deadline_miss_counter->add();
 }
 
 void
@@ -272,16 +226,15 @@ MultiCellEngine::observe_shed(CellContext &cell,
         ++cell.shed.shed_expired;
     else
         ++cell.shed.shed_queue_full;
-    if (tracer_) {
-        tracer_->record_instant(
-            dispatch_slot(), obs::SpanKind::kShed, obs_now_ns(),
+    if (obs_.tracer) {
+        obs_.tracer->record_instant(
+            dispatch_slot(), obs::SpanKind::kShed, obs_.now_ns(),
             obs::make_cell_arg(cell.cell_id, subframe_index));
     }
-    if (metrics_) {
-        shed_counter_->add();
+    if (obs_.metrics) {
+        obs_.shed->add();
         cell.shed_counter->add();
-        (expired ? shed_expired_counter_ : shed_queue_full_counter_)
-            ->add();
+        (expired ? obs_.shed_expired : obs_.shed_queue_full)->add();
     }
     if (config_.engine.feedback) {
         config_.engine.feedback->on_subframe_shed(cell.cell_id,
@@ -296,7 +249,7 @@ MultiCellEngine::expire_pending(CellContext &cell)
         return;
     while (!cell.pending.empty()) {
         SubframeJob *job = cell.pending.front();
-        if (age_ms(*job, obs_now_ns()) <= config_.engine.deadline_ms)
+        if (age_ms(*job, obs_.now_ns()) <= config_.engine.deadline_ms)
             break;
         // Expired in the queue: nothing useful left to compute.
         cell.pending.pop_front();
@@ -311,16 +264,17 @@ void
 MultiCellEngine::admit_one(CellContext &cell)
 {
     SubframeJob *job = cell.pending.front();
-    const std::uint64_t now = obs_now_ns();
+    const std::uint64_t now = obs_.now_ns();
     const double age = age_ms(*job, now);
     if (config_.engine.shed_policy == ShedPolicy::kDegrade &&
         config_.engine.deadline_ms > 0.0 &&
         age > 0.5 * config_.engine.deadline_ms) {
         // Over half the budget gone waiting: trade EVM for latency
-        // rather than risk a drop.  Same shed ladder as the
-        // single-cell streaming engine: real-turbo lanes reduce the
-        // decode budget first and bypass only past the fraction;
-        // pass-through lanes go straight to the bypass.
+        // rather than risk a drop.  Real-turbo lanes climb the shed
+        // ladder — reduced decode iterations first, the full bypass
+        // only past the bypass fraction; pass-through lanes jump
+        // straight to the bypass (both levels produce the same
+        // output there).
         const bool bypass =
             !config_.engine.receiver.use_real_turbo ||
             age > config_.engine.degrade_bypass_fraction *
@@ -330,8 +284,8 @@ MultiCellEngine::admit_one(CellContext &cell)
                    : phy::DegradeLevel::kReducedIterations;
         job->set_degrade(level);
         ++cell.shed.degraded;
-        if (metrics_) {
-            degraded_counter_->add();
+        if (obs_.metrics) {
+            obs_.degraded->add();
             cell.degraded_counter->add();
         }
         if (cell.estimator.has_value()) {
@@ -350,15 +304,15 @@ MultiCellEngine::admit_one(CellContext &cell)
     --total_pending_;
     job->t_dispatch_ns = now;
     job->admit_seq = admit_seq_++;
-    if (tracer_) {
-        tracer_->record_instant(
+    if (obs_.tracer) {
+        obs_.tracer->record_instant(
             dispatch_slot(), obs::SpanKind::kDispatch, now,
             obs::make_cell_arg(cell.cell_id,
                                job->params.subframe_index));
     }
     ++cell.shed.admitted;
-    if (metrics_)
-        admitted_counter_->add();
+    if (obs_.metrics)
+        obs_.admitted->add();
     if (job->n_users > 0)
         pool_->submit(job);
     // A zero-user job is born complete (users_remaining == 0); it
@@ -407,7 +361,7 @@ MultiCellEngine::reap_all(MultiCellRunRecord &record)
             SubframeJob *job = cell.executing.front();
             cell.executing.pop_front();
             --total_executing_;
-            observe_completion(cell, *job, obs_now_ns());
+            observe_completion(cell, *job, obs_.now_ns());
             record.cells[c].subframes.push_back(collect(*job));
             if (config_.engine.feedback) {
                 config_.engine.feedback->on_subframe_complete(
@@ -475,16 +429,16 @@ MultiCellEngine::sync_io_stats(CellContext &cell,
         ++cell.shed.shed;
         ++cell.shed.shed_queue_full;
         ++cell.shed.io_lost;
-        if (tracer_) {
-            tracer_->record_instant(
-                dispatch_slot(), obs::SpanKind::kIoLost, obs_now_ns(),
+        if (obs_.tracer) {
+            obs_.tracer->record_instant(
+                dispatch_slot(), obs::SpanKind::kIoLost, obs_.now_ns(),
                 obs::make_cell_arg(cell.cell_id, cell.io_lost_synced));
         }
-        if (metrics_) {
-            submitted_counter_->add();
-            shed_counter_->add();
-            shed_queue_full_counter_->add();
-            io_lost_counter_->add();
+        if (obs_.metrics) {
+            obs_.submitted->add();
+            obs_.shed->add();
+            obs_.shed_queue_full->add();
+            obs_.io_lost->add();
             cell.submitted_counter->add();
             cell.shed_counter->add();
         }
@@ -494,8 +448,8 @@ MultiCellEngine::sync_io_stats(CellContext &cell,
     while (cell.io_late_synced < late) {
         ++cell.io_late_synced;
         ++cell.shed.io_late;
-        if (metrics_)
-            io_late_counter_->add();
+        if (obs_.metrics)
+            obs_.io_late->add();
     }
 }
 
@@ -521,27 +475,27 @@ MultiCellEngine::process_subframe(std::size_t cell_index,
 
     SubframeJob *job = cell.job_pool.acquire();
     job->prepare(params, cell.signals, cell.receiver);
-    job->t_arrival_ns = obs_now_ns();
+    job->t_arrival_ns = obs_.now_ns();
     job->t_dispatch_ns = job->t_arrival_ns;
     job->est_activity = estimate;
-    if (tracer_) {
-        tracer_->record_instant(
+    if (obs_.tracer) {
+        obs_.tracer->record_instant(
             dispatch_slot(), obs::SpanKind::kDispatch,
             job->t_dispatch_ns,
             obs::make_cell_arg(cell.cell_id, params.subframe_index));
     }
     ++cell.shed.submitted;
     ++cell.shed.admitted;
-    if (metrics_) {
-        submitted_counter_->add();
-        admitted_counter_->add();
+    if (obs_.metrics) {
+        obs_.submitted->add();
+        obs_.admitted->add();
         cell.submitted_counter->add();
     }
     if (job->n_users > 0) {
         pool_->submit(job);
         pool_->wait_job(*job);
     }
-    observe_completion(cell, *job, obs_now_ns());
+    observe_completion(cell, *job, obs_.now_ns());
 
     outcome_.subframe_index = params.subframe_index;
     outcome_.cell_id = params.cell_id;
@@ -555,227 +509,8 @@ MultiCellEngine::process_subframe(std::size_t cell_index,
 }
 
 MultiCellRunRecord
-MultiCellEngine::run(const std::vector<workload::ParameterModel *> &models,
-                     std::size_t n_subframes)
+MultiCellEngine::begin_run(std::size_t n_subframes)
 {
-    using clock = std::chrono::steady_clock;
-    LTE_CHECK(models.size() == cells_.size(),
-              "need one parameter model per cell");
-    for (const auto *model : models)
-        LTE_CHECK(model != nullptr, "null parameter model");
-
-    if (config_.engine.io.enabled)
-        return run_offloaded(models, n_subframes);
-
-    MultiCellRunRecord record;
-    record.cells.resize(cells_.size());
-    record.shed.resize(cells_.size());
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-        CellContext &cell = *cells_[c];
-        record.cells[c].cell_id = cell.cell_id;
-        record.cells[c].subframes.reserve(n_subframes);
-        cell.shed = ShedStats{};
-        cell.credits = cell.weight;
-        cell.last_estimate = -1.0;
-    }
-    admit_seq_ = 0;
-    rr_next_ = 0;
-    pool_->reset_activity();
-    const auto run_start = clock::now();
-    auto next_arrival = run_start;
-    const auto delta = std::chrono::duration_cast<clock::duration>(
-        std::chrono::duration<double, std::milli>(
-            config_.engine.delta_ms));
-
-    for (std::size_t i = 0; i < n_subframes; ++i) {
-        // The shared TTI clock: every cell receives one subframe per
-        // tick whether or not the pipeline kept up (free-running when
-        // delta_ms == 0).
-        if (config_.engine.delta_ms > 0.0) {
-            std::this_thread::sleep_until(next_arrival);
-            next_arrival += delta;
-        }
-        reap_all(record);
-
-        for (auto &cell_ptr : cells_) {
-            CellContext &cell = *cell_ptr;
-            phy::SubframeParams params =
-                models[&cell_ptr - cells_.data()]->next_subframe();
-            params.cell_id = cell.cell_id;
-            params.validate();
-            ++cell.shed.submitted;
-            if (metrics_) {
-                submitted_counter_->add();
-                cell.submitted_counter->add();
-            }
-
-            // Make room in this cell's admission ring.
-            bool admit_arrival = true;
-            if (cell.pending.size() >= config_.engine.admission_queue) {
-                if (config_.engine.deadline_ms == 0.0) {
-                    // Lossless mode: block the arrival source until
-                    // the pipeline frees a slot (backpressure).
-                    while (cell.pending.size() >=
-                           config_.engine.admission_queue) {
-                        admit_wrr();
-                        if (cell.pending.size() <
-                            config_.engine.admission_queue)
-                            break;
-                        drain_one(record);
-                    }
-                } else if (config_.engine.shed_policy ==
-                           ShedPolicy::kDropOldest) {
-                    // The oldest queued subframe is the closest to
-                    // its deadline — sacrifice it for the arrival.
-                    SubframeJob *oldest = cell.pending.front();
-                    cell.pending.pop_front();
-                    --total_pending_;
-                    observe_shed(cell, oldest->params.subframe_index,
-                                 /*expired=*/false);
-                    release_job(cell, oldest);
-                } else {
-                    // kDropNewest / kDegrade: keep the queued work.
-                    observe_shed(cell, params.subframe_index,
-                                 /*expired=*/false);
-                    admit_arrival = false;
-                }
-            }
-
-            if (admit_arrival) {
-                double estimate = -1.0;
-                if (cell.estimator.has_value()) {
-                    estimate = cell.estimator->estimate_subframe(
-                        params,
-                        cell.pending.size() + cell.executing.size());
-                }
-                cell.last_estimate = estimate;
-                cell.input.signals_for(params, cell.signals);
-                SubframeJob *job = cell.job_pool.acquire();
-                job->prepare(params, cell.signals, cell.receiver);
-                job->t_arrival_ns = obs_now_ns();
-                job->est_activity = estimate;
-                cell.pending.push_back(job);
-                ++total_pending_;
-            }
-        }
-        update_active_workers();
-        admit_wrr();
-    }
-
-    // Drain the tail; queued subframes can still expire while the
-    // pipeline catches up.
-    while (total_pending_ > 0 || total_executing_ > 0) {
-        if (total_executing_ > 0)
-            drain_one(record);
-        admit_wrr();
-    }
-
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-        const ShedStats &s = cells_[c]->shed;
-        LTE_ASSERT(s.shed + s.completed == s.submitted,
-                   "admission accounting lost a subframe");
-        record.shed[c] = s;
-    }
-
-    const auto snap = pool_->activity();
-    record.wall_seconds =
-        std::chrono::duration<double>(clock::now() - run_start).count();
-    record.activity = snap.activity(pool_->n_workers());
-    record.total_ops = snap.ops;
-    record.steals = pool_->steals();
-    for (auto &cell_record : record.cells)
-        cell_record.wall_seconds = record.wall_seconds;
-    if (metrics_) {
-        metrics_->gauge("engine.activity").set(record.activity);
-        metrics_->gauge("engine.wall_seconds").set(record.wall_seconds);
-        metrics_->counter("engine.steals").add(record.steals);
-        if (tracer_) {
-            metrics_->gauge("engine.trace_dropped")
-                .set(static_cast<double>(tracer_->total_dropped()));
-        }
-    }
-    return record;
-}
-
-void
-MultiCellEngine::consume_frame(CellContext &cell, io::IqFrame *frame,
-                               MultiCellRunRecord &record)
-{
-    // Replayed captures carry the recorded cell id; this lane serves
-    // its own (the generator source already stamps it at produce).
-    if (config_.engine.io.source == io::SourceKind::kReplay)
-        frame->params.cell_id = cell.cell_id;
-
-    ++cell.shed.submitted;
-    if (metrics_) {
-        submitted_counter_->add();
-        cell.submitted_counter->add();
-    }
-    if (tracer_) {
-        tracer_->record(dispatch_slot(), obs::SpanKind::kIoFrame,
-                        frame->t_arrival_ns, obs_now_ns(),
-                        obs::make_cell_arg(cell.cell_id,
-                                           frame->params.subframe_index));
-    }
-
-    // Same per-lane admission-ring policy as the inline path.
-    bool admit_arrival = true;
-    if (cell.pending.size() >= config_.engine.admission_queue) {
-        if (config_.engine.deadline_ms == 0.0) {
-            // Lossless mode: hold the frame and block until this lane
-            // frees a slot; the WRR drain keeps other lanes moving.
-            while (cell.pending.size() >=
-                   config_.engine.admission_queue) {
-                admit_wrr();
-                if (cell.pending.size() <
-                    config_.engine.admission_queue)
-                    break;
-                drain_one(record);
-            }
-        } else if (config_.engine.shed_policy == ShedPolicy::kDropOldest) {
-            SubframeJob *oldest = cell.pending.front();
-            cell.pending.pop_front();
-            --total_pending_;
-            observe_shed(cell, oldest->params.subframe_index,
-                         /*expired=*/false);
-            release_job(cell, oldest);
-        } else {
-            observe_shed(cell, frame->params.subframe_index,
-                         /*expired=*/false);
-            admit_arrival = false;
-        }
-    }
-
-    if (admit_arrival) {
-        double estimate = -1.0;
-        if (cell.estimator.has_value()) {
-            estimate = cell.estimator->estimate_subframe(
-                frame->params,
-                cell.pending.size() + cell.executing.size());
-        }
-        cell.last_estimate = estimate;
-        SubframeJob *job = cell.job_pool.acquire();
-        // Zero-copy handoff: the job reads the frame's signals in
-        // place; the frame recycles at release_job().
-        job->prepare(frame->params, frame->signals, cell.receiver);
-        job->t_arrival_ns = frame->t_arrival_ns;
-        job->est_activity = estimate;
-        job->io_frame = frame;
-        cell.pending.push_back(job);
-        ++total_pending_;
-    } else {
-        cell.transport->release(frame);
-    }
-}
-
-MultiCellRunRecord
-MultiCellEngine::run_offloaded(
-    const std::vector<workload::ParameterModel *> &models,
-    std::size_t n_subframes)
-{
-    using clock = std::chrono::steady_clock;
-    const io::IoConfig &io_cfg = config_.engine.io;
-
     MultiCellRunRecord record;
     record.cells.resize(cells_.size());
     record.shed.resize(cells_.size());
@@ -792,25 +527,167 @@ MultiCellEngine::run_offloaded(
     admit_seq_ = 0;
     rr_next_ = 0;
     pool_->reset_activity();
+    return record;
+}
 
-    // One sample plane per lane (transport + source + recorder), but
-    // ONE shared producer thread pacing every lane on the common TTI
-    // grid: per-cell free-running SampleFeed threads yield-spin toward
-    // the same tick and oversubscribe a core as soon as n_cells > 1,
-    // which distorted the multi-cell offloaded overload tables with
-    // producer scheduling noise.  Generator lanes draw their own model
-    // on the producer thread; replay lanes all replay the configured
-    // capture (cell id re-stamped at consumption).  Recorder taps get
-    // per-cell file names beyond one cell so lanes never share a
-    // stream, and each lane keeps its own jitter stream.
+void
+MultiCellEngine::admit_arrival(CellContext &cell,
+                               const phy::SubframeParams &params,
+                               io::IqFrame *frame,
+                               MultiCellRunRecord &record)
+{
+    ++cell.shed.submitted;
+    if (obs_.metrics) {
+        obs_.submitted->add();
+        cell.submitted_counter->add();
+    }
+
+    // Make room in this cell's admission ring.
+    const std::size_t capacity = config_.engine.admission_queue;
+    if (cell.pending.size() >= capacity) {
+        if (config_.engine.deadline_ms == 0.0) {
+            // Lossless mode: block the arrival source until this lane
+            // frees a slot (backpressure, never shed; a held frame
+            // also backs up the producer through its free ring).  The
+            // WRR drain keeps the other lanes moving.
+            while (cell.pending.size() >= capacity) {
+                admit_wrr();
+                if (cell.pending.size() < capacity)
+                    break;
+                drain_one(record);
+            }
+        } else if (config_.engine.shed_policy == ShedPolicy::kDropOldest) {
+            // The oldest queued subframe is the closest to its
+            // deadline — sacrifice it for the arrival.
+            SubframeJob *oldest = cell.pending.front();
+            cell.pending.pop_front();
+            --total_pending_;
+            observe_shed(cell, oldest->params.subframe_index,
+                         /*expired=*/false);
+            release_job(cell, oldest);
+        } else {
+            // kDropNewest / kDegrade: keep the queued work.  For
+            // kDegrade this is what lets jobs age toward the
+            // half-deadline mark and take the cheap chain instead of
+            // being refreshed out of the ring by new arrivals.
+            observe_shed(cell, params.subframe_index, /*expired=*/false);
+            if (frame != nullptr)
+                cell.transport->release(frame);
+            return;
+        }
+    }
+
+    double estimate = -1.0;
+    if (cell.estimator.has_value()) {
+        estimate = cell.estimator->estimate_subframe(
+            params, cell.pending.size() + cell.executing.size());
+    }
+    cell.last_estimate = estimate;
+    SubframeJob *job = cell.job_pool.acquire();
+    if (frame == nullptr) {
+        cell.input.signals_for(params, cell.signals);
+        job->prepare(params, cell.signals, cell.receiver);
+        job->t_arrival_ns = obs_.now_ns();
+    } else {
+        // Zero-copy handoff: the job reads the frame's signals in
+        // place; the frame recycles at release_job().  The deadline
+        // clock has been running since the producer stamp.
+        job->prepare(params, frame->signals, cell.receiver);
+        job->t_arrival_ns = frame->t_arrival_ns;
+        job->io_frame = frame;
+    }
+    job->est_activity = estimate;
+    cell.pending.push_back(job);
+    ++total_pending_;
+}
+
+void
+MultiCellEngine::finish_run(MultiCellRunRecord &record,
+                            std::chrono::steady_clock::time_point start)
+{
+    for (std::size_t c = 0; c < cells_.size(); ++c) {
+        const ShedStats &s = cells_[c]->shed;
+        LTE_ASSERT(s.shed + s.completed == s.submitted,
+                   "admission accounting lost a subframe");
+        record.shed[c] = s;
+    }
+    obs_.finish_run(record, *pool_, start);
+    for (auto &cell_record : record.cells)
+        cell_record.wall_seconds = record.wall_seconds;
+}
+
+MultiCellRunRecord
+MultiCellEngine::run(const std::vector<workload::ParameterModel *> &models,
+                     std::size_t n_subframes)
+{
+    using clock = std::chrono::steady_clock;
+    LTE_CHECK(models.size() == cells_.size(),
+              "need one parameter model per cell");
+    for (const auto *model : models)
+        LTE_CHECK(model != nullptr, "null parameter model");
+
+    if (config_.engine.io.enabled)
+        return run_offloaded(models, n_subframes);
+
+    MultiCellRunRecord record = begin_run(n_subframes);
+    const auto run_start = clock::now();
+    auto next_arrival = run_start;
+    const auto delta = std::chrono::duration_cast<clock::duration>(
+        std::chrono::duration<double, std::milli>(
+            config_.engine.delta_ms));
+
+    for (std::size_t i = 0; i < n_subframes; ++i) {
+        // The shared TTI clock: every cell receives one subframe per
+        // tick whether or not the pipeline kept up (free-running when
+        // delta_ms == 0).
+        if (config_.engine.delta_ms > 0.0) {
+            std::this_thread::sleep_until(next_arrival);
+            next_arrival += delta;
+        }
+        reap_all(record);
+        for (std::size_t c = 0; c < cells_.size(); ++c) {
+            CellContext &cell = *cells_[c];
+            phy::SubframeParams params = models[c]->next_subframe();
+            params.cell_id = cell.cell_id;
+            params.validate();
+            admit_arrival(cell, params, nullptr, record);
+        }
+        update_active_workers();
+        admit_wrr();
+    }
+
+    // Drain the tail; queued subframes can still expire while the
+    // pipeline catches up.
+    while (total_pending_ > 0 || total_executing_ > 0) {
+        if (total_executing_ > 0)
+            drain_one(record);
+        admit_wrr();
+    }
+
+    finish_run(record, run_start);
+    return record;
+}
+
+MultiCellRunRecord
+MultiCellEngine::run_offloaded(
+    const std::vector<workload::ParameterModel *> &models,
+    std::size_t n_subframes)
+{
+    using clock = std::chrono::steady_clock;
+    const io::IoConfig &io_cfg = config_.engine.io;
+    MultiCellRunRecord record = begin_run(n_subframes);
+
+    // One sample plane per lane (transport + source + recorder), all
+    // paced by ONE producer thread on the common TTI grid.  Generator
+    // lanes draw their own model on the producer thread; replay lanes
+    // all replay the configured capture (cell id re-stamped at
+    // consumption).  Recorder taps get per-cell file names beyond one
+    // cell so lanes never share a stream, and each lane keeps its own
+    // jitter stream.
     std::vector<std::unique_ptr<io::SampleTransport>> transports;
     std::vector<std::unique_ptr<io::SampleSource>> sources;
     std::vector<std::unique_ptr<io::CaptureWriter>> recorders;
     std::vector<io::FeedLane> lanes;
-    transports.reserve(cells_.size());
-    sources.reserve(cells_.size());
-    recorders.reserve(cells_.size());
-    lanes.reserve(cells_.size());
     for (std::size_t c = 0; c < cells_.size(); ++c) {
         CellContext &cell = *cells_[c];
         transports.push_back(
@@ -823,17 +700,16 @@ MultiCellEngine::run_offloaded(
             sources.push_back(std::make_unique<GeneratorSampleSource>(
                 cell.input, *models[c], cell.cell_id));
         }
+        recorders.push_back(nullptr);
         if (!io_cfg.record_path.empty()) {
             std::string path = io_cfg.record_path;
             if (cells_.size() > 1)
                 path += ".cell" + std::to_string(cell.cell_id);
-            recorders.push_back(std::make_unique<io::CaptureWriter>(
-                path, config_.engine.receiver.n_antennas));
-        } else {
-            recorders.push_back(nullptr);
+            recorders.back() = std::make_unique<io::CaptureWriter>(
+                path, config_.engine.receiver.n_antennas);
         }
         io::FeedLane lane;
-        lane.transport = transports.back().get();
+        lane.transport = cell.transport;
         lane.source = sources.back().get();
         lane.recorder = recorders.back().get();
         lane.jitter_seed =
@@ -844,7 +720,7 @@ MultiCellEngine::run_offloaded(
     feed_config.delta_ms = config_.engine.delta_ms;
     feed_config.jitter_ms = io_cfg.jitter_ms;
     feed_config.lossless = config_.engine.deadline_ms == 0.0;
-    feed_config.now_ns = [this] { return obs_now_ns(); };
+    feed_config.now_ns = [this] { return obs_.now_ns(); };
     io::MultiSampleFeed feed(std::move(lanes), feed_config);
 
     const auto run_start = clock::now();
@@ -871,8 +747,22 @@ MultiCellEngine::run_offloaded(
             if (frame == nullptr)
                 continue;
             any = true;
-            consume_frame(cell, frame, record);
+            // Replayed captures carry the recorded cell id; this lane
+            // serves its own (generator sources stamp it at produce).
+            frame->params.cell_id = cell.cell_id;
+            if (obs_.tracer) {
+                // Ready-ring residence: produced at t_arrival, consumed
+                // now — budget the deadline clock already spent.
+                obs_.tracer->record(
+                    dispatch_slot(), obs::SpanKind::kIoFrame,
+                    frame->t_arrival_ns, obs_.now_ns(),
+                    obs::make_cell_arg(cell.cell_id,
+                                       frame->params.subframe_index));
+            }
+            admit_arrival(cell, frame->params, frame, record);
         }
+        // Admit even when nothing arrived, so queue ages stay honest
+        // (expiry, degrade marks); then give the pool a breath.
         update_active_workers();
         admit_wrr();
         if (!any)
@@ -880,40 +770,107 @@ MultiCellEngine::run_offloaded(
     }
 
     feed.stop();
-    for (std::size_t c = 0; c < cells_.size(); ++c)
+    for (std::size_t c = 0; c < cells_.size(); ++c) {
         sync_io_stats(*cells_[c], feed.stats(c));
+        cells_[c]->transport = nullptr;
+        LTE_ASSERT(cells_[c]->shed.submitted == n_subframes,
+                   "sample plane lost track of a tick");
+    }
     LTE_ASSERT(total_pending_ == 0 && total_executing_ == 0,
                "ticks resolved but jobs remain in flight");
-
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-        CellContext &cell = *cells_[c];
-        cell.transport = nullptr;
-        const ShedStats &s = cell.shed;
-        LTE_ASSERT(s.shed + s.completed == s.submitted,
-                   "admission accounting lost a subframe");
-        LTE_ASSERT(s.submitted == n_subframes,
-                   "sample plane lost track of a tick");
-        record.shed[c] = s;
-    }
-
-    const auto snap = pool_->activity();
-    record.wall_seconds =
-        std::chrono::duration<double>(clock::now() - run_start).count();
-    record.activity = snap.activity(pool_->n_workers());
-    record.total_ops = snap.ops;
-    record.steals = pool_->steals();
-    for (auto &cell_record : record.cells)
-        cell_record.wall_seconds = record.wall_seconds;
-    if (metrics_) {
-        metrics_->gauge("engine.activity").set(record.activity);
-        metrics_->gauge("engine.wall_seconds").set(record.wall_seconds);
-        metrics_->counter("engine.steals").add(record.steals);
-        if (tracer_) {
-            metrics_->gauge("engine.trace_dropped")
-                .set(static_cast<double>(tracer_->total_dropped()));
-        }
-    }
+    finish_run(record, run_start);
     return record;
+}
+
+// -------------------------------------------------------- streaming
+
+namespace {
+
+/** The one-lane multi-cell configuration serving @p config's cell. */
+MultiCellConfig
+one_lane(const EngineConfig &config)
+{
+    MultiCellConfig cfg;
+    cfg.engine = config;
+    cfg.n_cells = 1;
+    cfg.cell_ids = {config.receiver.cell_id};
+    return cfg;
+}
+
+} // namespace
+
+StreamingEngine::StreamingEngine(const EngineConfig &config)
+    : lane_(std::make_unique<MultiCellEngine>(one_lane(config)))
+{
+}
+
+StreamingEngine::~StreamingEngine() = default;
+
+const SubframeOutcome &
+StreamingEngine::process_subframe(const phy::SubframeParams &params)
+{
+    return lane_->process_subframe(0, params);
+}
+
+RunRecord
+StreamingEngine::run(workload::ParameterModel &model,
+                     std::size_t n_subframes)
+{
+    MultiCellRunRecord all = lane_->run({&model}, n_subframes);
+    RunRecord record = std::move(all.cells.front());
+    record.activity = all.activity;
+    record.total_ops = all.total_ops;
+    record.steals = all.steals;
+    return record;
+}
+
+void
+StreamingEngine::set_estimator(
+    std::optional<mgmt::WorkloadEstimator> estimator)
+{
+    lane_->set_estimator(std::move(estimator));
+}
+
+WorkerPool *
+StreamingEngine::worker_pool()
+{
+    return &lane_->pool();
+}
+
+InputGenerator &
+StreamingEngine::input()
+{
+    return lane_->input(0);
+}
+
+const EngineConfig &
+StreamingEngine::config() const
+{
+    return lane_->config().engine;
+}
+
+obs::Tracer *
+StreamingEngine::tracer()
+{
+    return lane_->tracer();
+}
+
+const obs::SubframeSeries *
+StreamingEngine::subframe_series() const
+{
+    return lane_->subframe_series();
+}
+
+obs::MetricsRegistry *
+StreamingEngine::metrics()
+{
+    return lane_->metrics();
+}
+
+const ShedStats &
+StreamingEngine::shed_stats() const
+{
+    return lane_->shed_stats(0);
 }
 
 } // namespace lte::runtime

@@ -27,17 +27,16 @@ class GeneratorSampleSource : public io::SampleSource
 {
   public:
     /**
-     * @param cell_id  when non-zero, stamped over the model's
-     *        params.cell_id before validation — the multi-cell
-     *        engine's per-lane override; 0 keeps the model's value
-     *        (single-cell streaming behaviour).
+     * @param cell_id  the lane's cell, stamped over the model's
+     *        params.cell_id before validation (every lane serves its
+     *        own cell).
      *
      * Both references must outlive the source; they are only ever
      * touched from the producer thread while a feed is running.
      */
     GeneratorSampleSource(InputGenerator &input,
                           workload::ParameterModel &model,
-                          std::uint32_t cell_id = 0)
+                          std::uint32_t cell_id)
         : input_(input), model_(model), cell_id_(cell_id)
     {
     }
@@ -46,8 +45,7 @@ class GeneratorSampleSource : public io::SampleSource
     produce(io::IqFrame &frame) override
     {
         frame.params = model_.next_subframe();
-        if (cell_id_ != 0)
-            frame.params.cell_id = cell_id_;
+        frame.params.cell_id = cell_id_;
         frame.params.validate();
         input_.signals_for(frame.params, frame.signals);
         return true;

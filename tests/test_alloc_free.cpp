@@ -422,7 +422,10 @@ expect_zero_alloc_sample_plane(bool tracing)
     InPlaceSource source;
     io::FeedConfig cfg;
     cfg.lossless = true;
-    io::SampleFeed feed(transport, source, cfg);
+    io::FeedLane lane;
+    lane.transport = &transport;
+    lane.source = &source;
+    io::MultiSampleFeed feed({lane}, cfg);
 
     obs::ObsConfig obs_cfg;
     obs_cfg.enabled = true;
@@ -472,8 +475,8 @@ expect_zero_alloc_sample_plane(bool tracing)
         << "sample plane allocated " << (after - before)
         << " times during " << measured << " steady-state frames";
     EXPECT_GT(sum, 0u);
-    EXPECT_EQ(feed.stats().produced.load(), warm + measured);
-    EXPECT_EQ(feed.stats().lost.load(), 0u);
+    EXPECT_EQ(feed.stats(0).produced.load(), warm + measured);
+    EXPECT_EQ(feed.stats(0).lost.load(), 0u);
     if (tracing) {
         EXPECT_GE(tracer->total_recorded(), measured);
     }

@@ -188,7 +188,8 @@ TEST(IoCapture, RecordReplayRoundTripIsBitIdentical)
     {
         runtime::InputGenerator input(generator_config());
         workload::PaperModel model(model_config());
-        runtime::GeneratorSampleSource source(input, model);
+        runtime::GeneratorSampleSource source(input, model,
+                                              input.config().cell_id);
         CaptureWriter writer(file.path, input.config().n_antennas);
         IqFrame frame;
         for (std::size_t i = 0; i < n; ++i) {
@@ -203,7 +204,8 @@ TEST(IoCapture, RecordReplayRoundTripIsBitIdentical)
     // recording pass saw (both deterministic in the seed).
     runtime::InputGenerator input(generator_config());
     workload::PaperModel model(model_config());
-    runtime::GeneratorSampleSource reference(input, model);
+    runtime::GeneratorSampleSource reference(
+        input, model, input.config().cell_id);
     CaptureReader reader(file.path);
     EXPECT_EQ(reader.n_antennas(), input.config().n_antennas);
 
@@ -251,7 +253,8 @@ TEST(IoCapture, ReplaySourceLoopsAndSkips)
     std::vector<std::uint64_t> indices;
     {
         workload::PaperModel model(model_config());
-        runtime::GeneratorSampleSource source(input, model);
+        runtime::GeneratorSampleSource source(input, model,
+                                              input.config().cell_id);
         CaptureWriter writer(file.path, input.config().n_antennas);
         IqFrame frame;
         for (std::size_t i = 0; i < n; ++i) {
@@ -292,7 +295,8 @@ TEST(IoCapture, LoopedSkipAtWrapNeitherDropsNorDuplicates)
     std::vector<std::uint64_t> indices;
     {
         workload::PaperModel model(model_config());
-        runtime::GeneratorSampleSource source(input, model);
+        runtime::GeneratorSampleSource source(input, model,
+                                              input.config().cell_id);
         CaptureWriter writer(file.path, input.config().n_antennas);
         IqFrame frame;
         for (std::size_t i = 0; i < n; ++i) {
@@ -390,7 +394,10 @@ TEST(IoFeed, LosslessFeedDeliversEveryTickInOrder)
     CountingSource source;
     FeedConfig cfg;
     cfg.lossless = true; // block on pool exhaustion, lose nothing
-    SampleFeed feed(transport, source, cfg);
+    FeedLane lane;
+    lane.transport = &transport;
+    lane.source = &source;
+    MultiSampleFeed feed({lane}, cfg);
 
     const std::uint64_t n = 200;
     feed.start(n);
@@ -408,8 +415,8 @@ TEST(IoFeed, LosslessFeedDeliversEveryTickInOrder)
     }
     feed.stop();
     EXPECT_TRUE(feed.finished());
-    EXPECT_EQ(feed.stats().produced.load(), n);
-    EXPECT_EQ(feed.stats().lost.load(), 0u);
+    EXPECT_EQ(feed.stats(0).produced.load(), n);
+    EXPECT_EQ(feed.stats(0).lost.load(), 0u);
 }
 
 // ----------------------------------------------- engine digest parity
@@ -432,17 +439,26 @@ streaming_config()
     return cfg;
 }
 
+/** The serial engine's record over the first @p n model subframes. */
+RunRecord
+serial_reference(std::size_t n)
+{
+    EngineConfig cfg = streaming_config();
+    cfg.kind = runtime::EngineKind::kSerial;
+    auto serial = runtime::make_engine(cfg);
+    workload::PaperModel model(model_config());
+    return serial->run(model, n);
+}
+
 TEST(IoOffloadParity, OffloadedGeneratorMatchesInlineStreamingDigest)
 {
     // The tentpole acceptance gate: a producer-thread generator source
-    // at zero jitter in lossless mode must reproduce the inline
-    // engine's digests bit for bit — same model draws, same signal
+    // at zero jitter in lossless mode must reproduce the serial
+    // reference's digests bit for bit — same model draws, same signal
     // pool, same admission order, only the thread boundary added.
     const std::size_t n = 25;
 
-    auto inline_engine = runtime::make_engine(streaming_config());
-    workload::PaperModel inline_model(model_config());
-    const RunRecord ref = inline_engine->run(inline_model, n);
+    const RunRecord ref = serial_reference(n);
 
     EngineConfig cfg = streaming_config();
     cfg.io.enabled = true;
@@ -496,12 +512,10 @@ TEST(IoOffloadParity, RecordedRunReplaysBitIdentically)
 TEST(IoOffloadParity, OneCellMultiCellOffloadedMatchesStreaming)
 {
     // Every cell-id derivation is the identity at cell 1, so a 1-cell
-    // offloaded multi-cell run must equal the single-cell engines.
+    // offloaded multi-cell run must equal the serial reference.
     const std::size_t n = 20;
 
-    auto inline_engine = runtime::make_engine(streaming_config());
-    workload::PaperModel inline_model(model_config());
-    const RunRecord ref = inline_engine->run(inline_model, n);
+    const RunRecord ref = serial_reference(n);
 
     runtime::MultiCellConfig cfg;
     cfg.n_cells = 1;

@@ -104,10 +104,10 @@ run_multicell(std::size_t n_cells, std::size_t n_subframes,
 
 TEST(MultiCell, OneCellRunIsBitIdenticalToSingleCellEngines)
 {
-    // The tentpole invariant: a 1-cell multi-cell engine reproduces
-    // the single-cell engines bit for bit — every cell-id derivation
-    // (scrambler init, DMRS root, input stream seed) is the identity
-    // at cell 1.
+    // The tentpole invariant: a 1-cell multi-cell engine (which is
+    // what the streaming engine runs) reproduces the serial reference
+    // bit for bit — every cell-id derivation (scrambler init, DMRS
+    // root, input stream seed) is the identity at cell 1.
     const std::size_t n = 20;
 
     auto serial_cfg = lossless_engine_config();
@@ -115,10 +115,6 @@ TEST(MultiCell, OneCellRunIsBitIdenticalToSingleCellEngines)
     auto serial = make_engine(serial_cfg);
     workload::PaperModel serial_model(model_config(77));
     const RunRecord ref = serial->run(serial_model, n);
-
-    auto streaming = make_engine(lossless_engine_config());
-    workload::PaperModel streaming_model(model_config(77));
-    const RunRecord stream_record = streaming->run(streaming_model, n);
 
     MultiCellConfig cfg;
     cfg.n_cells = 1;
@@ -134,7 +130,6 @@ TEST(MultiCell, OneCellRunIsBitIdenticalToSingleCellEngines)
     EXPECT_TRUE(RunRecord::equivalent(ref, record.cells[0], &why))
         << why;
     EXPECT_EQ(ref.digest(), record.cells[0].digest());
-    EXPECT_EQ(stream_record.digest(), record.cells[0].digest());
     EXPECT_GT(ref.user_count(), 0u);
     EXPECT_EQ(record.shed[0].shed, 0u);
     EXPECT_EQ(record.shed[0].completed, record.shed[0].submitted);

@@ -11,9 +11,8 @@
 #include <thread>
 
 #include "phy/params.hpp"
-#include "runtime/benchmark.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/run_record.hpp"
-#include "runtime/serial_engine.hpp"
 #include "runtime/task.hpp"
 #include "runtime/ws_deque.hpp"
 #include "workload/paper_model.hpp"
@@ -157,10 +156,10 @@ TEST(InputGenerator, PoolIndependentOfRequestOrder)
 
 // --------------------------------------------- serial vs parallel
 
-UplinkBenchmarkConfig
+EngineConfig
 small_config(std::size_t workers, mgmt::Strategy strategy)
 {
-    UplinkBenchmarkConfig cfg;
+    EngineConfig cfg;
     cfg.pool.n_workers = workers;
     cfg.pool.strategy = strategy;
     cfg.input.seed = 99;
@@ -185,12 +184,13 @@ TEST(Validation, ParallelMatchesSerialReference)
     const std::size_t n = 40;
 
     workload::PaperModel serial_model(compressed_model_config());
-    SerialEngine serial(phy::ReceiverConfig{},
-                        InputGeneratorConfig{.pool_size = 4, .seed = 99});
+    // The serial engine ignores the pool shape: same receiver, same
+    // input pool and seed as the parallel run.
+    SerialEngine serial(small_config(1, mgmt::Strategy::kNoNap));
     const RunRecord ref = serial.run(serial_model, n);
 
     workload::PaperModel parallel_model(compressed_model_config());
-    UplinkBenchmark bench(small_config(4, mgmt::Strategy::kNoNap));
+    WorkStealingEngine bench(small_config(4, mgmt::Strategy::kNoNap));
     const RunRecord parallel = bench.run(parallel_model, n);
 
     std::string why;
@@ -205,7 +205,7 @@ TEST(Validation, ResultsIndependentOfWorkerCount)
     std::uint64_t first_digest = 0;
     for (std::size_t workers : {1u, 2u, 3u, 6u}) {
         workload::PaperModel model(compressed_model_config());
-        UplinkBenchmark bench(
+        WorkStealingEngine bench(
             small_config(workers, mgmt::Strategy::kNoNap));
         const RunRecord record = bench.run(model, n);
         if (workers == 1)
@@ -226,7 +226,7 @@ TEST(Validation, ResultsIndependentOfStrategy)
          {mgmt::Strategy::kNoNap, mgmt::Strategy::kIdle,
           mgmt::Strategy::kNapIdle}) {
         workload::PaperModel model(compressed_model_config());
-        UplinkBenchmark bench(small_config(3, strategy));
+        WorkStealingEngine bench(small_config(3, strategy));
         const RunRecord record = bench.run(model, n);
         if (first) {
             reference = record.digest();
@@ -241,7 +241,7 @@ TEST(Validation, RepeatedRunsAreDeterministic)
 {
     auto run_once = [] {
         workload::PaperModel model(compressed_model_config());
-        UplinkBenchmark bench(small_config(4, mgmt::Strategy::kNoNap));
+        WorkStealingEngine bench(small_config(4, mgmt::Strategy::kNoNap));
         return bench.run(model, 20).digest();
     };
     EXPECT_EQ(run_once(), run_once());
@@ -258,7 +258,7 @@ TEST(WorkerPool, StealsHappenWithUnevenUsers)
     user.layers = 4;
     user.mod = Modulation::k64Qam;
     workload::SteadyModel model(user);
-    UplinkBenchmark bench(small_config(4, mgmt::Strategy::kNoNap));
+    WorkStealingEngine bench(small_config(4, mgmt::Strategy::kNoNap));
     const RunRecord record = bench.run(model, 6);
     EXPECT_GT(record.steals, 0u);
 }
@@ -267,14 +267,15 @@ TEST(WorkerPool, NapDeactivationStillCompletesWork)
 {
     // With only 1 of 4 workers active, everything must still finish.
     workload::PaperModel model(compressed_model_config());
-    UplinkBenchmark bench(small_config(4, mgmt::Strategy::kNapIdle));
-    bench.pool().set_active_workers(1);
+    WorkStealingEngine bench(small_config(4, mgmt::Strategy::kNapIdle));
+    bench.worker_pool()->set_active_workers(1);
     const RunRecord record = bench.run(model, 15);
     EXPECT_EQ(record.subframes.size(), 15u);
 
     workload::PaperModel reference_model(compressed_model_config());
-    SerialEngine serial(phy::ReceiverConfig{},
-                        InputGeneratorConfig{.pool_size = 4, .seed = 99});
+    // The serial engine ignores the pool shape: same receiver, same
+    // input pool and seed as the parallel run.
+    SerialEngine serial(small_config(1, mgmt::Strategy::kNoNap));
     const RunRecord ref = serial.run(reference_model, 15);
     EXPECT_EQ(record.digest(), ref.digest());
 }
@@ -293,7 +294,7 @@ TEST(WorkerPool, ActiveWorkersClampedToValidRange)
 TEST(WorkerPool, ActivityAccountingIsSane)
 {
     workload::PaperModel model(compressed_model_config());
-    UplinkBenchmark bench(small_config(2, mgmt::Strategy::kNoNap));
+    WorkStealingEngine bench(small_config(2, mgmt::Strategy::kNoNap));
     const RunRecord record = bench.run(model, 20);
     EXPECT_GT(record.total_ops, 0u);
     EXPECT_GT(record.wall_seconds, 0.0);
@@ -317,11 +318,11 @@ TEST(WorkerPool, EstimatorDrivenNapAdjustsActiveCores)
     workload::SteadyModel model(tiny);
 
     auto cfg = small_config(6, mgmt::Strategy::kNap);
-    UplinkBenchmark bench(cfg);
+    WorkStealingEngine bench(cfg);
     bench.set_estimator(mgmt::WorkloadEstimator(table));
     bench.run(model, 5);
     // estimate = 2 * 0.001 = 0.002 -> 0.002*6 + 2 -> ceil -> 3.
-    EXPECT_EQ(bench.pool().active_workers(), 3u);
+    EXPECT_EQ(bench.worker_pool()->active_workers(), 3u);
 }
 
 TEST(WorkerPool, IntervalSnapshotsAreDeltaBased)

@@ -7,7 +7,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "runtime/benchmark.hpp"
+#include "runtime/engine.hpp"
 #include "workload/paper_model.hpp"
 #include "workload/steady_model.hpp"
 
@@ -29,11 +29,11 @@ TEST(DeltaPacing, DispatchRateIsHonoured)
 {
     // 20 subframes at DELTA = 5 ms must take at least ~95 ms even
     // though the work itself is tiny.
-    UplinkBenchmarkConfig cfg;
+    EngineConfig cfg;
     cfg.pool.n_workers = 2;
     cfg.delta_ms = 5.0;
     cfg.input.pool_size = 2;
-    UplinkBenchmark bench(cfg);
+    WorkStealingEngine bench(cfg);
     workload::SteadyModel model(small_user());
     const RunRecord record = bench.run(model, 20);
     EXPECT_EQ(record.subframes.size(), 20u);
@@ -42,11 +42,11 @@ TEST(DeltaPacing, DispatchRateIsHonoured)
 
 TEST(RealisticMode, AllCrcsPassThroughParallelPipeline)
 {
-    UplinkBenchmarkConfig cfg;
+    EngineConfig cfg;
     cfg.pool.n_workers = 3;
     cfg.input.realistic = true;
     cfg.input.snr_db = 30.0;
-    UplinkBenchmark bench(cfg);
+    WorkStealingEngine bench(cfg);
     workload::SteadyModel model(small_user());
     const RunRecord record = bench.run(model, 12);
     EXPECT_DOUBLE_EQ(record.crc_pass_rate(), 1.0);
@@ -110,10 +110,10 @@ TEST(FlowControl, MaxInFlightRespected)
 {
     // max_in_flight = 1 serialises subframes; the run must still
     // complete and produce every result.
-    UplinkBenchmarkConfig cfg;
+    EngineConfig cfg;
     cfg.pool.n_workers = 2;
     cfg.max_in_flight = 1;
-    UplinkBenchmark bench(cfg);
+    WorkStealingEngine bench(cfg);
     workload::SteadyModel model(small_user());
     const RunRecord record = bench.run(model, 10);
     EXPECT_EQ(record.subframes.size(), 10u);
@@ -215,12 +215,12 @@ TEST(EngineFactory, MakesTheRequestedKind)
 
 TEST(Config, RejectsInvalidBenchmarkConfig)
 {
-    UplinkBenchmarkConfig cfg;
+    EngineConfig cfg;
     cfg.max_in_flight = 0;
-    EXPECT_THROW(UplinkBenchmark bench(cfg), std::invalid_argument);
+    EXPECT_THROW(WorkStealingEngine bench(cfg), std::invalid_argument);
     cfg = {};
     cfg.delta_ms = -1.0;
-    EXPECT_THROW(UplinkBenchmark bench(cfg), std::invalid_argument);
+    EXPECT_THROW(WorkStealingEngine bench(cfg), std::invalid_argument);
 }
 
 } // namespace

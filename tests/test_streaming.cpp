@@ -422,5 +422,41 @@ TEST(StreamingObs, BacklogAwareEstimatorSeesQueueDepth)
     EXPECT_EQ(probe.stats().backlog_boosts, 1u);
 }
 
+TEST(StreamingObs, EstimateIsRecordedWithoutProactiveStrategy)
+{
+    // With an estimator installed but a strategy that never parks
+    // cores (kNoNap), the engine still records the Eq. 4 estimate in
+    // the series (the multi-cell lane rule; -1 marks "no estimator"
+    // only) and leaves every worker active.
+    mgmt::CalibrationTable table;
+    for (std::uint32_t l = 1; l <= 4; ++l) {
+        for (Modulation mod : kAllModulations)
+            table.set(l, mod, 0.0005 * l);
+    }
+    EngineConfig cfg = parity_config(EngineKind::kStreaming);
+    cfg.pool.strategy = mgmt::Strategy::kNoNap;
+    cfg.obs.enabled = true;
+    auto engine = make_engine(cfg);
+    engine->set_estimator(mgmt::WorkloadEstimator(table));
+
+    mgmt::WorkloadEstimator probe{table};
+    probe.set_decode_pricing(mgmt::decode_pricing_for(cfg.receiver));
+    phy::SubframeParams sf;
+    sf.users.push_back(heavy_user());
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        sf.subframe_index = i;
+        engine->process_subframe(sf);
+    }
+
+    const obs::SubframeSeries *series = engine->subframe_series();
+    ASSERT_NE(series, nullptr);
+    ASSERT_EQ(series->size(), 3u);
+    const double expected = probe.estimate_subframe(sf, 0);
+    EXPECT_GT(expected, 0.0);
+    for (std::size_t i = 0; i < series->size(); ++i)
+        EXPECT_EQ(series->at(i).est_activity, expected) << "subframe " << i;
+    EXPECT_EQ(engine->worker_pool()->active_workers(), cfg.pool.n_workers);
+}
+
 } // namespace
 } // namespace lte::runtime
