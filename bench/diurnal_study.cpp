@@ -31,18 +31,21 @@ main(int argc, char **argv)
                              "50% saving vs NONAP",
                              "diurnal saving vs NONAP"});
     double nonap_paper = 0.0, nonap_diurnal = 0.0;
-    for (mgmt::Strategy s : mgmt::kAllStrategies) {
-        const double paper_power = study.run_strategy(s).avg_power_w;
+    for (const mgmt::PowerPolicy &policy :
+         {mgmt::PowerPolicy::nonap(), mgmt::PowerPolicy::idle(),
+          mgmt::PowerPolicy::nap(), mgmt::PowerPolicy::nap_idle(),
+          mgmt::PowerPolicy::power_gating()}) {
+        const double paper_power = study.run_policy(policy).avg_power_w;
         workload::DiurnalModel diurnal(diurnal_cfg);
         const double diurnal_power =
-            study.run_strategy_on(s, diurnal, args.subframes)
+            study.run_policy_on(policy, diurnal, args.subframes)
                 .avg_power_w;
-        if (s == mgmt::Strategy::kNoNap) {
+        if (nonap_paper == 0.0) { // NONAP runs first
             nonap_paper = paper_power;
             nonap_diurnal = diurnal_power;
         }
         table.add_row(
-            {mgmt::strategy_name(s), report::fmt(paper_power, 2),
+            {policy.name, report::fmt(paper_power, 2),
              report::fmt(diurnal_power, 2),
              report::fmt_percent((paper_power - nonap_paper) /
                                  -nonap_paper),

@@ -20,8 +20,8 @@ main(int argc, char **argv)
     core::UplinkStudy study(args.study_config());
     study.prepare();
 
-    const auto nonap = study.run_strategy(mgmt::Strategy::kNoNap);
-    const auto nap = study.run_strategy(mgmt::Strategy::kNap);
+    const auto nonap = study.run_policy(mgmt::PowerPolicy::nonap());
+    const auto nap = study.run_policy(mgmt::PowerPolicy::nap());
 
     const auto rms_nonap =
         power::PowerModel::rms_windows(nonap.series, 0.1);

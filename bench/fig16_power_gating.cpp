@@ -18,22 +18,22 @@ main(int argc, char **argv)
     core::UplinkStudy study(args.study_config());
     study.prepare();
 
-    const mgmt::Strategy strategies[] = {
-        mgmt::Strategy::kNoNap, mgmt::Strategy::kIdle,
-        mgmt::Strategy::kNapIdle, mgmt::Strategy::kPowerGating};
+    const mgmt::PowerPolicy policies[] = {
+        mgmt::PowerPolicy::nonap(), mgmt::PowerPolicy::idle(),
+        mgmt::PowerPolicy::nap_idle(), mgmt::PowerPolicy::power_gating()};
 
     std::vector<std::vector<double>> rms;
     std::vector<double> averages;
     std::vector<std::vector<double>> activities;
     std::size_t n = SIZE_MAX;
-    for (mgmt::Strategy s : strategies) {
-        const auto outcome = study.run_strategy(s);
+    for (std::size_t k = 0; k < 4; ++k) {
+        const auto outcome = study.run_policy(policies[k]);
         rms.push_back(
             power::PowerModel::rms_windows(outcome.series, 0.1));
         averages.push_back(outcome.avg_power_w);
         n = std::min(n, rms.back().size());
         // Activity per window for the IDLE run (low-load detection).
-        if (s == mgmt::Strategy::kIdle) {
+        if (k == 1) {
             double busy = 0.0, dur = 0.0;
             std::vector<double> act;
             for (const auto &iv : outcome.sim.intervals) {
@@ -57,7 +57,7 @@ main(int argc, char **argv)
     report::SeriesSet set("time_s", t);
     for (std::size_t k = 0; k < 4; ++k) {
         rms[k].resize(n);
-        set.add(mgmt::strategy_name(strategies[k]), rms[k]);
+        set.add(policies[k].name, rms[k]);
     }
     set.print_summary(std::cout);
     args.maybe_write_csv(set, "fig16_power_gating");
@@ -79,7 +79,7 @@ main(int argc, char **argv)
     report::TextTable table({"Technique", "Avg power (W)", "Paper (W)"});
     const char *paper[] = {"25", "20.7", "19.9", "18.5"};
     for (std::size_t k = 0; k < 4; ++k) {
-        table.add_row({mgmt::strategy_name(strategies[k]),
+        table.add_row({policies[k].name,
                        report::fmt(averages[k], 2), paper[k]});
     }
     table.print(std::cout);

@@ -53,7 +53,9 @@ main(int argc, char **argv)
     // --- live engine: 100 subframes with tracing enabled ------------
     runtime::EngineConfig cfg;
     cfg.pool.n_workers = 4;
-    cfg.pool.strategy = mgmt::Strategy::kNap;
+    const mgmt::PowerPolicy nap = mgmt::PowerPolicy::nap();
+    cfg.proactive = nap.proactive;
+    cfg.pool.reactive_idle = nap.reactive_idle;
     cfg.input.pool_size = 4;
     cfg.input.seed = args.seed;
     cfg.obs.enabled = true;
@@ -81,7 +83,7 @@ main(int argc, char **argv)
 
     // --- simulated study: per-subframe activity/power series --------
     const auto outcome =
-        study.run_strategy(mgmt::Strategy::kPowerGating);
+        study.run_policy(mgmt::PowerPolicy::power_gating());
     const auto n_workers = outcome.sim.n_workers;
     if (auto ofs = open_out(dir, "obs_study.csv"))
         core::write_study_csv(ofs, outcome, n_workers);

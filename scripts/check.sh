@@ -74,6 +74,17 @@ LTE_MAC=pf LTE_MAC_IO=offload ./build/tests/test_mac
 echo "==> city-scale fleet smoke"
 ./build/bench/city_scale --smoke
 
+# Paper-study smoke: the table/figure drivers that run the five
+# PowerPolicy presets through UplinkStudy, executed end to end on a
+# short compressed protocol (deterministic output, well under a
+# second each) so they are run, not only compiled.
+for bench in table1_dynamic_power table2_total_power fig14_nap_power \
+             fig15_techniques fig16_power_gating diurnal_study \
+             ablation_domains; do
+    echo "==> paper-study smoke (${bench} --subframes 400)"
+    "./build/bench/${bench}" --subframes 400 > /dev/null
+done
+
 run_preset asan
 # The tsan test preset filters to the concurrency/runtime suites (see
 # CMakePresets.json): pool interleavings, trace-ring export races, the

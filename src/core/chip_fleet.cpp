@@ -266,7 +266,7 @@ ChipFleet::run_chip(const ChipPlan &plan, const Calibration &calibration,
             FleetCellModel model(cell_mac(cell, prb_budget),
                                  config_.diurnal,
                                  cell_load_scale(cell));
-            const StrategyOutcome run = study.run_policy_on(
+            const PolicyOutcome run = study.run_policy_on(
                 candidate, model, config_.subframes);
             power_w += run.avg_power_w;
             worst_miss = std::max(worst_miss, run.deadline_miss_rate);

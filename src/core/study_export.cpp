@@ -1,16 +1,26 @@
 #include "core/study_export.hpp"
 
 #include <ostream>
+#include <string_view>
+#include <vector>
 
 namespace lte::core {
 
 namespace {
 
-/** Stable per-strategy pid so merged traces keep tracks apart. */
+/** Stable per-policy pid so merged traces keep tracks apart: the
+ *  1-based position of the preset with the same name in
+ *  PowerPolicy::all_presets(), or one past them for a custom name. */
 int
-strategy_pid(mgmt::Strategy s)
+policy_pid(const mgmt::PowerPolicy &policy)
 {
-    return 1 + static_cast<int>(s);
+    const std::vector<mgmt::PowerPolicy> presets =
+        mgmt::PowerPolicy::all_presets();
+    std::size_t i = 0;
+    while (i < presets.size() &&
+           std::string_view(presets[i].name) != policy.name)
+        ++i;
+    return static_cast<int>(i) + 1;
 }
 
 double
@@ -34,7 +44,7 @@ counter_event(std::ostream &os, int pid, double ts_us,
 } // namespace
 
 void
-write_study_csv(std::ostream &os, const StrategyOutcome &outcome,
+write_study_csv(std::ostream &os, const PolicyOutcome &outcome,
                 std::uint32_t n_workers)
 {
     const bool domains = outcome.sim.n_domains > 0;
@@ -77,10 +87,10 @@ write_study_csv(std::ostream &os, const StrategyOutcome &outcome,
 
 void
 write_study_chrome_trace(std::ostream &os,
-                         const StrategyOutcome &outcome,
+                         const PolicyOutcome &outcome,
                          std::uint32_t n_workers)
 {
-    const int pid = strategy_pid(outcome.strategy);
+    const int pid = policy_pid(outcome.policy);
     os << "{\"traceEvents\":[\n";
     os << "  {\"ph\":\"M\",\"pid\":" << pid
        << ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\""

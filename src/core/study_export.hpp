@@ -2,7 +2,7 @@
  * @file
  * Exporters for simulated study runs: a per-subframe activity /
  * deadline CSV and a chrome://tracing counter-track JSON, both built
- * from a StrategyOutcome.  The live-engine exporters (span timelines
+ * from a PolicyOutcome.  The live-engine exporters (span timelines
  * from the worker pool's tracer) live in obs/export.hpp; these cover
  * the discrete-event side of the study where there are no threads,
  * only per-interval aggregates.
@@ -17,7 +17,7 @@
 namespace lte::core {
 
 /**
- * Per-subframe series of one strategy run as CSV:
+ * Per-subframe series of one policy run as CSV:
  *
  *   subframe,t0_ms,dur_ms,activity,est_activity,active_cores,
  *   powered_cores,watts
@@ -25,20 +25,23 @@ namespace lte::core {
  * Domain-machine runs append per-interval domain-state columns:
  * active_domains,gated_domains,freq_scale,transition_energy_uj.
  *
- * `active_cores` is the Eq. 5 watermark (blank when the strategy runs
+ * `active_cores` is the Eq. 5 watermark (blank when the policy runs
  * without an estimator), `powered_cores` the Eq. 7 plan (blank unless
  * power gating), `watts` the thermal-corrected power sample.
  */
-void write_study_csv(std::ostream &os, const StrategyOutcome &outcome,
+void write_study_csv(std::ostream &os, const PolicyOutcome &outcome,
                      std::uint32_t n_workers);
 
 /**
  * The same series as chrome://tracing counter tracks ("ph":"C"):
  * busy-cores, watermark, estimated activity and Watts over time, one
- * process per strategy so several runs can be merged into one trace.
+ * process per policy so several runs can be merged into one trace.
+ * The pid is the policy's 1-based position in
+ * PowerPolicy::all_presets() (NONAP 1 ... PowerGating 5, DOMAIN-DVFS
+ * 6), matched by name.
  */
 void write_study_chrome_trace(std::ostream &os,
-                              const StrategyOutcome &outcome,
+                              const PolicyOutcome &outcome,
                               std::uint32_t n_workers);
 
 } // namespace lte::core

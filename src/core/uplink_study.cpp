@@ -28,6 +28,11 @@ UplinkStudy::UplinkStudy(const StudyConfig &config)
     : config_(config),
       metrics_(std::make_unique<obs::MetricsRegistry>())
 {
+    const mgmt::PowerPolicy &p = config_.sim.policy;
+    LTE_CHECK(!p.proactive && !p.reactive_idle && !p.analytical_gating &&
+                  !p.dvfs && !p.domain_machine,
+              "StudyConfig::sim.policy must enable no mechanism: the "
+              "power policy is passed per run (run_policy*)");
     config_.sim.validate();
     config_.power.validate();
     config_.model.validate();
@@ -98,7 +103,7 @@ UplinkStudy::gating_plan(const sim::SimResult &result,
 }
 
 void
-UplinkStudy::record_run_metrics(const StrategyOutcome &outcome)
+UplinkStudy::record_run_metrics(const PolicyOutcome &outcome)
 {
     const std::string prefix =
         std::string("study.") + outcome.policy.name;
@@ -127,40 +132,14 @@ UplinkStudy::record_run_metrics(const StrategyOutcome &outcome)
         .set(static_cast<double>(outcome.sim.max_ready_backlog));
 }
 
-mgmt::PowerPolicy
-UplinkStudy::policy_for(mgmt::Strategy strategy) const
-{
-    // DVFS stays orthogonal to the paper's five strategies: a config
-    // that enables it applies it under whichever strategy is run.
-    mgmt::PowerPolicy policy = mgmt::PowerPolicy::from_strategy(strategy);
-    policy.dvfs = config_.sim.policy.dvfs;
-    policy.dvfs_margin = config_.sim.policy.dvfs_margin;
-    policy.dvfs_min_scale = config_.sim.policy.dvfs_min_scale;
-    return policy;
-}
-
-StrategyOutcome
-UplinkStudy::run_strategy(mgmt::Strategy strategy)
-{
-    return run_policy(policy_for(strategy));
-}
-
-StrategyOutcome
-UplinkStudy::run_strategy_on(mgmt::Strategy strategy,
-                             workload::ParameterModel &model,
-                             std::uint64_t subframes)
-{
-    return run_policy_on(policy_for(strategy), model, subframes);
-}
-
-StrategyOutcome
+PolicyOutcome
 UplinkStudy::run_policy(const mgmt::PowerPolicy &policy)
 {
     workload::PaperModel model(config_.model);
     return run_policy_on(policy, model, config_.subframes);
 }
 
-StrategyOutcome
+PolicyOutcome
 UplinkStudy::run_policy_on(const mgmt::PowerPolicy &policy,
                            workload::ParameterModel &model,
                            std::uint64_t subframes)
@@ -173,8 +152,7 @@ UplinkStudy::run_policy_on(const mgmt::PowerPolicy &policy,
     sim::Machine machine(sim_cfg, config_.n_antennas);
     machine.set_estimator(estimator_);
 
-    StrategyOutcome outcome;
-    outcome.strategy = policy.label;
+    PolicyOutcome outcome;
     outcome.policy = policy;
     outcome.sim = machine.run(model, subframes);
 
@@ -197,14 +175,7 @@ UplinkStudy::run_policy_on(const mgmt::PowerPolicy &policy,
     return outcome;
 }
 
-MultiCellStrategyOutcome
-UplinkStudy::run_strategy_multicell(mgmt::Strategy strategy,
-                                    std::size_t n_cells)
-{
-    return run_policy_multicell(policy_for(strategy), n_cells);
-}
-
-MultiCellStrategyOutcome
+MultiCellPolicyOutcome
 UplinkStudy::run_policy_multicell(const mgmt::PowerPolicy &policy,
                                   std::size_t n_cells)
 {
@@ -215,8 +186,7 @@ UplinkStudy::run_policy_multicell(const mgmt::PowerPolicy &policy,
                   n_cells,
               "need at least one power domain per cell");
 
-    MultiCellStrategyOutcome outcome;
-    outcome.strategy = policy.label;
+    MultiCellPolicyOutcome outcome;
     outcome.policy = policy;
     outcome.cells.reserve(n_cells);
 
@@ -266,9 +236,9 @@ UplinkStudy::run_policy_multicell(const mgmt::PowerPolicy &policy,
     return outcome;
 }
 
-StrategyOutcome
-UplinkStudy::run_strategy_overloaded(mgmt::Strategy strategy,
-                                     double overload_factor)
+PolicyOutcome
+UplinkStudy::run_policy_overloaded(const mgmt::PowerPolicy &policy,
+                                   double overload_factor)
 {
     LTE_CHECK(overload_factor >= 1.0,
               "overload factor must be at least 1");
@@ -277,10 +247,10 @@ UplinkStudy::run_strategy_overloaded(mgmt::Strategy strategy,
     // deadline accounting) follows from the shortened DELTA.
     const double nominal_delta = config_.sim.delta_s;
     config_.sim.delta_s = nominal_delta / overload_factor;
-    StrategyOutcome outcome;
+    PolicyOutcome outcome;
     try {
         workload::PaperModel model(config_.model);
-        outcome = run_strategy_on(strategy, model, config_.subframes);
+        outcome = run_policy_on(policy, model, config_.subframes);
     } catch (...) {
         config_.sim.delta_s = nominal_delta;
         throw;

@@ -2,7 +2,7 @@
  * @file
  * High-level facade for the paper's power-management study
  * (Secs. V-VI): calibrates the simulator and the workload estimator,
- * runs any strategy over the evaluation input model, and returns
+ * runs any power policy over the evaluation input model, and returns
  * power series and aggregates.  This is the API the figure/table
  * benches and the examples drive.
  */
@@ -16,7 +16,6 @@
 #include "mgmt/core_allocator.hpp"
 #include "mgmt/estimator.hpp"
 #include "mgmt/power_policy.hpp"
-#include "mgmt/strategy.hpp"
 #include "obs/metrics.hpp"
 #include "power/power_model.hpp"
 #include "sim/calibrate.hpp"
@@ -29,12 +28,14 @@ namespace lte::core {
 /** Full study configuration; defaults follow the paper. */
 struct StudyConfig
 {
+    /** Machine shape and timing.  sim.policy must enable no
+     *  mechanism: the power policy is passed per run (run_policy*). */
     sim::SimConfig sim;
     power::PowerModelConfig power;
     workload::PaperModelConfig model;
     sim::CalibrationSweep sweep;
     std::size_t n_antennas = 4;
-    /** Subframes per strategy run (paper: 68 000 = 340 s). */
+    /** Subframes per policy run (paper: 68 000 = 340 s). */
     std::uint64_t subframes = 68000;
     /**
      * Responsiveness budget in subframe periods: a user whose
@@ -63,12 +64,10 @@ struct Calibration
     mgmt::CalibrationTable table;
 };
 
-/** Everything produced by one strategy run. */
-struct StrategyOutcome
+/** Everything produced by one policy run. */
+struct PolicyOutcome
 {
-    mgmt::Strategy strategy = mgmt::Strategy::kNoNap;
-    /** The policy that produced this run (label == strategy for the
-     *  five paper presets). */
+    /** The policy that produced this run. */
     mgmt::PowerPolicy policy = mgmt::PowerPolicy::nonap();
     sim::SimResult sim;
     /** Thermal-corrected power series (one sample per subframe). */
@@ -85,13 +84,12 @@ struct StrategyOutcome
     mgmt::GatingStats gating_stats;
 };
 
-/** Aggregates of a sharded multi-cell strategy run (DESIGN.md 3f). */
-struct MultiCellStrategyOutcome
+/** Aggregates of a sharded multi-cell policy run (DESIGN.md 3f). */
+struct MultiCellPolicyOutcome
 {
-    mgmt::Strategy strategy = mgmt::Strategy::kNoNap;
     mgmt::PowerPolicy policy = mgmt::PowerPolicy::nonap();
     /** Per-cell outcomes; lane c serves physical cell id c+1. */
-    std::vector<StrategyOutcome> cells;
+    std::vector<PolicyOutcome> cells;
     double total_power_w = 0.0;   ///< summed per-cell averages
     double total_dynamic_w = 0.0; ///< total minus the full base power
     /** Worst per-cell deadline miss rate (the board is only as
@@ -105,12 +103,13 @@ struct MultiCellStrategyOutcome
 class UplinkStudy
 {
   public:
+    /** Throws when config.sim.policy enables a mechanism. */
     explicit UplinkStudy(const StudyConfig &config);
 
     /**
      * Calibrate cycles_per_op (machine saturation at peak load) and
      * fit the k_{L,M} estimator table from steady-state sweeps
-     * (Sec. VI-A).  Must run before run_strategy().
+     * (Sec. VI-A).  Must run before run_policy().
      */
     void prepare();
 
@@ -132,42 +131,33 @@ class UplinkStudy
      */
     void adopt_calibration(const Calibration &calibration);
 
-    /** Run one strategy over a fresh instance of the paper's input
-     *  model. */
-    StrategyOutcome run_strategy(mgmt::Strategy strategy);
-
-    /** Run one composable power policy over a fresh instance of the
-     *  paper's input model (the five paper strategies are the
-     *  PowerPolicy presets; see mgmt/power_policy.hpp). */
-    StrategyOutcome run_policy(const mgmt::PowerPolicy &policy);
-
-    /** run_strategy_on for an arbitrary policy. */
-    StrategyOutcome run_policy_on(const mgmt::PowerPolicy &policy,
-                                  workload::ParameterModel &model,
-                                  std::uint64_t subframes);
+    /** Run one power policy over a fresh instance of the paper's
+     *  input model (the five paper techniques are the PowerPolicy
+     *  presets; see mgmt/power_policy.hpp). */
+    PolicyOutcome run_policy(const mgmt::PowerPolicy &policy);
 
     /**
-     * Run one strategy over an arbitrary input model (consumed from
-     * its current state) for @p subframes dispatches — used for
-     * scenarios beyond the paper's evaluation model, e.g. the diurnal
-     * 25%-load study.
+     * Run one policy over an arbitrary input model (consumed from its
+     * current state) for @p subframes dispatches — used for scenarios
+     * beyond the paper's evaluation model, e.g. the diurnal 25%-load
+     * study.
      */
-    StrategyOutcome run_strategy_on(mgmt::Strategy strategy,
-                                    workload::ParameterModel &model,
-                                    std::uint64_t subframes);
+    PolicyOutcome run_policy_on(const mgmt::PowerPolicy &policy,
+                                workload::ParameterModel &model,
+                                std::uint64_t subframes);
 
     /**
-     * Run one strategy with arrivals @p overload_factor times faster
+     * Run one policy with arrivals @p overload_factor times faster
      * than the calibrated DELTA (factor 1 = nominal load, 2 = twice
      * the machine's saturation rate).  Quantifies how each
-     * power-management strategy behaves past saturation: compare
-     * deadline_miss_rate and sim.max_ready_backlog across strategies.
+     * power-management policy behaves past saturation: compare
+     * deadline_miss_rate and sim.max_ready_backlog across policies.
      */
-    StrategyOutcome run_strategy_overloaded(mgmt::Strategy strategy,
-                                            double overload_factor);
+    PolicyOutcome run_policy_overloaded(const mgmt::PowerPolicy &policy,
+                                        double overload_factor);
 
     /**
-     * Run one strategy on an @p n_cells -way sharded board: every
+     * Run one policy on an @p n_cells -way sharded board: every
      * cell receives an equal slice of the workers, power domains and
      * base power, runs its own paper input model on a decorrelated
      * per-cell stream (seed = cell_stream_seed(model.seed, cell_id)),
@@ -176,11 +166,7 @@ class UplinkStudy
      * then re-partitioned across the cells from their peak demands
      * (partition_domains) to show the Eq. 6 apportionment.
      */
-    MultiCellStrategyOutcome
-    run_strategy_multicell(mgmt::Strategy strategy, std::size_t n_cells);
-
-    /** run_strategy_multicell for an arbitrary policy. */
-    MultiCellStrategyOutcome
+    MultiCellPolicyOutcome
     run_policy_multicell(const mgmt::PowerPolicy &policy,
                          std::size_t n_cells);
 
@@ -194,18 +180,14 @@ class UplinkStudy
                 mgmt::GatingStats *stats = nullptr) const;
 
     /**
-     * Study-level metrics: per-strategy counters and gauges
-     * accumulated across every run_strategy*() call (subframes, tasks,
+     * Study-level metrics: per-policy counters and gauges
+     * accumulated across every run_policy*() call (subframes, tasks,
      * estimator clamps, gating switches, average power).
      */
     const obs::MetricsRegistry &metrics() const { return *metrics_; }
 
   private:
-    /** The preset for @p strategy with the config's orthogonal DVFS
-     *  knobs (sim.policy.dvfs*) carried over. */
-    mgmt::PowerPolicy policy_for(mgmt::Strategy strategy) const;
-
-    void record_run_metrics(const StrategyOutcome &outcome);
+    void record_run_metrics(const PolicyOutcome &outcome);
 
     StudyConfig config_;
     std::optional<mgmt::WorkloadEstimator> estimator_;

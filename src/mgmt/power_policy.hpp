@@ -20,16 +20,15 @@
  *                      the simulator instead of analytically after
  *                      the fact.
  *
- * The five paper strategies are reproduced bit-for-bit as preset
- * policies (see from_strategy); the parity tests pin their digests.
+ * The five paper techniques exist only as the preset policies
+ * nonap()/idle()/nap()/nap_idle()/power_gating(); the parity tests
+ * pin their digests.
  */
 #ifndef LTE_MGMT_POWER_POLICY_HPP
 #define LTE_MGMT_POWER_POLICY_HPP
 
 #include <cstdint>
 #include <vector>
-
-#include "mgmt/strategy.hpp"
 
 namespace lte::mgmt {
 
@@ -81,9 +80,6 @@ struct TransitionCosts
  */
 struct PowerPolicy
 {
-    /** Closest paper-strategy label (naming, metrics, trace pids). */
-    Strategy label = Strategy::kNoNap;
-
     // --- paper mechanisms (bit-for-bit legacy semantics) ---
     /** Eq. 5 watermark: deactivate workers beyond the estimate. */
     bool proactive = false;
@@ -119,27 +115,20 @@ struct PowerPolicy
 
     void validate() const;
 
-    /** True when any estimator-driven mechanism is enabled. */
-    bool
-    wants_estimator() const
-    {
-        return proactive || dvfs || domain_machine;
-    }
-
-    // --- the five paper strategies, bit-for-bit ---
+    // --- the five paper techniques, bit-for-bit ---
     static PowerPolicy nonap();
     static PowerPolicy idle();
     static PowerPolicy nap();
     static PowerPolicy nap_idle();
     static PowerPolicy power_gating();
-    static PowerPolicy from_strategy(Strategy s);
 
     /** The PR 10 composite: NAP+IDLE semantics plus the per-domain
      *  state machine with a four-rung DVFS ladder and inline gating. */
     static PowerPolicy domain_dvfs();
 
-    /** All policies in presentation order: the five paper strategies
-     *  plus the domain-DVFS composite. */
+    /** All policies in presentation order: the five paper techniques
+     *  plus the domain-DVFS composite.  Study traces take their pid
+     *  from this order. */
     static std::vector<PowerPolicy> all_presets();
 };
 

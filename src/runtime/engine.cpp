@@ -258,19 +258,17 @@ WorkStealingEngine::set_estimator(
 double
 WorkStealingEngine::apply_estimator(const phy::SubframeParams &params)
 {
-    // Proactive core management (Eq. 5) from the *next* subframe's
-    // known input parameters.
-    const bool proactive =
-        estimator_.has_value() &&
-        (config_.pool.strategy == mgmt::Strategy::kNap ||
-         config_.pool.strategy == mgmt::Strategy::kNapIdle ||
-         config_.pool.strategy == mgmt::Strategy::kPowerGating);
-    if (!proactive)
+    // Eq. 4 estimate from the *next* subframe's known input
+    // parameters, recorded whenever an estimator is installed; only a
+    // proactive engine parks workers on it (Eq. 5).
+    if (!estimator_.has_value())
         return -1.0;
     const double estimate = estimator_->estimate_subframe(params);
-    pool_->set_active_workers(estimator_->active_cores(
-        estimate, static_cast<std::uint32_t>(pool_->n_workers()),
-        config_.core_margin));
+    if (config_.proactive) {
+        pool_->set_active_workers(estimator_->active_cores(
+            estimate, static_cast<std::uint32_t>(pool_->n_workers()),
+            config_.core_margin));
+    }
     return estimate;
 }
 

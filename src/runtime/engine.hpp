@@ -130,6 +130,9 @@ struct EngineConfig
     std::size_t max_in_flight = 3;
     /** Dispatch period in milliseconds; 0 = free-running. */
     double delta_ms = 0.0;
+    /** Proactive core management (paper NAP, Eq. 5): with an
+     *  estimator installed, park workers beyond the estimate. */
+    bool proactive = false;
     /** Over-provisioning margin for Eq. 5. */
     std::uint32_t core_margin = 2;
     /**
@@ -383,8 +386,8 @@ class WorkStealingEngine : public Engine
     obs::MetricsRegistry *metrics() override { return obs_.metrics.get(); }
 
   private:
-    /** Eq. 5 core deactivation; returns the Eq. 4 estimate (-1 when
-     *  no estimator applies). */
+    /** The Eq. 4 estimate (-1 when no estimator is installed), with
+     *  Eq. 5 core deactivation when proactive. */
     double apply_estimator(const phy::SubframeParams &params);
     /** The tracer slot used by the dispatch/maintenance thread. */
     std::size_t dispatch_slot() const { return config_.pool.n_workers; }

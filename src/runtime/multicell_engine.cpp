@@ -166,12 +166,7 @@ MultiCellEngine::age_ms(const SubframeJob &job,
 void
 MultiCellEngine::update_active_workers()
 {
-    const bool proactive =
-        estimator_.has_value() &&
-        (config_.engine.pool.strategy == mgmt::Strategy::kNap ||
-         config_.engine.pool.strategy == mgmt::Strategy::kNapIdle ||
-         config_.engine.pool.strategy == mgmt::Strategy::kPowerGating);
-    if (!proactive)
+    if (!estimator_.has_value() || !config_.engine.proactive)
         return;
     // The shared pool serves the sum of the cells' demands (the
     // multi-cell Eq. 4): each lane's backlog-aware estimate, summed

@@ -13,10 +13,10 @@
  * tail fan-out, CRC/EVM reduce), so no worker ever blocks inside a
  * user and a heavy user's tail spreads across the whole pool.
  *
- * Core-deactivation strategies are emulated functionally: NAP-style
- * deactivation parks workers above the active-core watermark (they
- * wake periodically to re-check, mirroring the TILEPro64 `nap`
- * semantics); IDLE-style reactive gating makes a workless worker
+ * Core deactivation is emulated functionally: NAP-style deactivation
+ * parks workers above the active-core watermark (they wake
+ * periodically to re-check, mirroring the TILEPro64 `nap` semantics);
+ * IDLE-style reactive napping (reactive_idle) makes a workless worker
  * sleep for a poll period instead of spinning.
  */
 #ifndef LTE_RUNTIME_WORKER_POOL_HPP
@@ -31,7 +31,6 @@
 #include <thread>
 #include <vector>
 
-#include "mgmt/strategy.hpp"
 #include "obs/trace.hpp"
 #include "runtime/task.hpp"
 #include "runtime/ws_deque.hpp"
@@ -42,7 +41,9 @@ namespace lte::runtime {
 struct WorkerPoolConfig
 {
     std::size_t n_workers = 4;
-    mgmt::Strategy strategy = mgmt::Strategy::kNoNap;
+    /** Reactive napping (paper IDLE): a worker that finds no work
+     *  sleeps for idle_poll_period instead of spinning. */
+    bool reactive_idle = false;
     /** Reactive (IDLE) sleep when no work is found. */
     std::chrono::microseconds idle_poll_period{200};
     /** Periodic wake-up of a NAP-deactivated worker. */

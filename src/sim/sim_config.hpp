@@ -41,7 +41,9 @@ struct SimConfig
     /** Power-management policy under study: which mechanisms are
      *  enabled (reactive napping, Eq. 5 watermark, DVFS, the
      *  per-domain state machine) and their parameters.  The five
-     *  paper strategies are the PowerPolicy::from_strategy presets. */
+     *  paper techniques are the PowerPolicy presets.  UplinkStudy
+     *  takes its policy per run and requires this one to enable no
+     *  mechanism. */
     mgmt::PowerPolicy policy = mgmt::PowerPolicy::nonap();
 
     /** Wake-poll period of a reactive (IDLE) napping worker looking

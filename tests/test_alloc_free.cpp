@@ -192,7 +192,7 @@ expect_zero_alloc_steady_state(EngineKind kind, bool tracing = false,
     EngineConfig cfg;
     cfg.kind = kind;
     cfg.pool.n_workers = 3;
-    cfg.pool.strategy = mgmt::Strategy::kNoNap; // yield, never sleep
+    cfg.pool.reactive_idle = false; // yield, never sleep
     cfg.input.pool_size = 4;
     cfg.obs.enabled = tracing;
     if (real_turbo) {
@@ -308,7 +308,6 @@ expect_zero_alloc_multicell(bool tracing)
     cfg.n_cells = 2;
     cfg.engine.kind = EngineKind::kStreaming;
     cfg.engine.pool.n_workers = 3;
-    cfg.engine.pool.strategy = mgmt::Strategy::kNoNap;
     cfg.engine.input.pool_size = 4;
     cfg.engine.obs.enabled = tracing;
     MultiCellEngine engine(cfg);
@@ -511,7 +510,6 @@ expect_zero_alloc_mac_closed_loop(EngineKind kind)
     EngineConfig cfg;
     cfg.kind = kind;
     cfg.pool.n_workers = 3;
-    cfg.pool.strategy = mgmt::Strategy::kNoNap;
     cfg.input.pool_size = 4;
     cfg.feedback = &sched;
     auto engine = make_engine(cfg);

@@ -158,13 +158,13 @@ TEST(Dvfs, StudyVariantSavesPowerOnPaperModel)
     core::UplinkStudy plain(cfg);
     plain.prepare();
     const double nonap =
-        plain.run_strategy(mgmt::Strategy::kNoNap).avg_power_w;
+        plain.run_policy(mgmt::PowerPolicy::nonap()).avg_power_w;
 
-    core::StudyConfig dvfs_cfg = cfg;
-    dvfs_cfg.sim.policy.dvfs = true;
-    core::UplinkStudy dvfs(dvfs_cfg);
-    dvfs.prepare();
-    const auto outcome = dvfs.run_strategy(mgmt::Strategy::kNoNap);
+    // DVFS rides on the policy passed per run; calibration always
+    // measures the NONAP machine, so the same study serves both.
+    mgmt::PowerPolicy dvfs = mgmt::PowerPolicy::nonap();
+    dvfs.dvfs = true;
+    const auto outcome = plain.run_policy(dvfs);
     EXPECT_LT(outcome.avg_power_w, nonap - 1.0);
     // DVFS trades latency for power: around the workload peak the
     // headroom is consumed and completion stretches, but the system

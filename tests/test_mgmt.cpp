@@ -8,7 +8,7 @@
 
 #include "mgmt/core_allocator.hpp"
 #include "mgmt/estimator.hpp"
-#include "mgmt/strategy.hpp"
+#include "mgmt/power_policy.hpp"
 
 namespace lte::mgmt {
 namespace {
@@ -229,11 +229,12 @@ TEST(GatingPlanner, EmitsExactlyOneDecisionPerSubframe)
 
 TEST(Strategy, NamesMatchPaper)
 {
-    EXPECT_STREQ(strategy_name(Strategy::kNoNap), "NONAP");
-    EXPECT_STREQ(strategy_name(Strategy::kIdle), "IDLE");
-    EXPECT_STREQ(strategy_name(Strategy::kNap), "NAP");
-    EXPECT_STREQ(strategy_name(Strategy::kNapIdle), "NAP+IDLE");
-    EXPECT_STREQ(strategy_name(Strategy::kPowerGating), "PowerGating");
+    // The paper techniques are the PowerPolicy presets.
+    EXPECT_STREQ(PowerPolicy::nonap().name, "NONAP");
+    EXPECT_STREQ(PowerPolicy::idle().name, "IDLE");
+    EXPECT_STREQ(PowerPolicy::nap().name, "NAP");
+    EXPECT_STREQ(PowerPolicy::nap_idle().name, "NAP+IDLE");
+    EXPECT_STREQ(PowerPolicy::power_gating().name, "PowerGating");
 }
 
 } // namespace

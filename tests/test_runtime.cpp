@@ -10,6 +10,7 @@
 #include <cstring>
 #include <thread>
 
+#include "mgmt/power_policy.hpp"
 #include "phy/params.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/run_record.hpp"
@@ -157,11 +158,13 @@ TEST(InputGenerator, PoolIndependentOfRequestOrder)
 // --------------------------------------------- serial vs parallel
 
 EngineConfig
-small_config(std::size_t workers, mgmt::Strategy strategy)
+small_config(std::size_t workers,
+             const mgmt::PowerPolicy &policy = mgmt::PowerPolicy::nonap())
 {
     EngineConfig cfg;
     cfg.pool.n_workers = workers;
-    cfg.pool.strategy = strategy;
+    cfg.pool.reactive_idle = policy.reactive_idle;
+    cfg.proactive = policy.proactive;
     cfg.input.seed = 99;
     cfg.input.pool_size = 4;
     return cfg;
@@ -186,11 +189,11 @@ TEST(Validation, ParallelMatchesSerialReference)
     workload::PaperModel serial_model(compressed_model_config());
     // The serial engine ignores the pool shape: same receiver, same
     // input pool and seed as the parallel run.
-    SerialEngine serial(small_config(1, mgmt::Strategy::kNoNap));
+    SerialEngine serial(small_config(1));
     const RunRecord ref = serial.run(serial_model, n);
 
     workload::PaperModel parallel_model(compressed_model_config());
-    WorkStealingEngine bench(small_config(4, mgmt::Strategy::kNoNap));
+    WorkStealingEngine bench(small_config(4));
     const RunRecord parallel = bench.run(parallel_model, n);
 
     std::string why;
@@ -205,8 +208,7 @@ TEST(Validation, ResultsIndependentOfWorkerCount)
     std::uint64_t first_digest = 0;
     for (std::size_t workers : {1u, 2u, 3u, 6u}) {
         workload::PaperModel model(compressed_model_config());
-        WorkStealingEngine bench(
-            small_config(workers, mgmt::Strategy::kNoNap));
+        WorkStealingEngine bench(small_config(workers));
         const RunRecord record = bench.run(model, n);
         if (workers == 1)
             first_digest = record.digest();
@@ -222,11 +224,11 @@ TEST(Validation, ResultsIndependentOfStrategy)
     const std::size_t n = 25;
     std::uint64_t reference = 0;
     bool first = true;
-    for (mgmt::Strategy strategy :
-         {mgmt::Strategy::kNoNap, mgmt::Strategy::kIdle,
-          mgmt::Strategy::kNapIdle}) {
+    for (const mgmt::PowerPolicy &policy :
+         {mgmt::PowerPolicy::nonap(), mgmt::PowerPolicy::idle(),
+          mgmt::PowerPolicy::nap_idle()}) {
         workload::PaperModel model(compressed_model_config());
-        WorkStealingEngine bench(small_config(3, strategy));
+        WorkStealingEngine bench(small_config(3, policy));
         const RunRecord record = bench.run(model, n);
         if (first) {
             reference = record.digest();
@@ -241,7 +243,7 @@ TEST(Validation, RepeatedRunsAreDeterministic)
 {
     auto run_once = [] {
         workload::PaperModel model(compressed_model_config());
-        WorkStealingEngine bench(small_config(4, mgmt::Strategy::kNoNap));
+        WorkStealingEngine bench(small_config(4));
         return bench.run(model, 20).digest();
     };
     EXPECT_EQ(run_once(), run_once());
@@ -258,7 +260,7 @@ TEST(WorkerPool, StealsHappenWithUnevenUsers)
     user.layers = 4;
     user.mod = Modulation::k64Qam;
     workload::SteadyModel model(user);
-    WorkStealingEngine bench(small_config(4, mgmt::Strategy::kNoNap));
+    WorkStealingEngine bench(small_config(4));
     const RunRecord record = bench.run(model, 6);
     EXPECT_GT(record.steals, 0u);
 }
@@ -267,7 +269,8 @@ TEST(WorkerPool, NapDeactivationStillCompletesWork)
 {
     // With only 1 of 4 workers active, everything must still finish.
     workload::PaperModel model(compressed_model_config());
-    WorkStealingEngine bench(small_config(4, mgmt::Strategy::kNapIdle));
+    WorkStealingEngine bench(
+        small_config(4, mgmt::PowerPolicy::nap_idle()));
     bench.worker_pool()->set_active_workers(1);
     const RunRecord record = bench.run(model, 15);
     EXPECT_EQ(record.subframes.size(), 15u);
@@ -275,7 +278,7 @@ TEST(WorkerPool, NapDeactivationStillCompletesWork)
     workload::PaperModel reference_model(compressed_model_config());
     // The serial engine ignores the pool shape: same receiver, same
     // input pool and seed as the parallel run.
-    SerialEngine serial(small_config(1, mgmt::Strategy::kNoNap));
+    SerialEngine serial(small_config(1));
     const RunRecord ref = serial.run(reference_model, 15);
     EXPECT_EQ(record.digest(), ref.digest());
 }
@@ -294,7 +297,7 @@ TEST(WorkerPool, ActiveWorkersClampedToValidRange)
 TEST(WorkerPool, ActivityAccountingIsSane)
 {
     workload::PaperModel model(compressed_model_config());
-    WorkStealingEngine bench(small_config(2, mgmt::Strategy::kNoNap));
+    WorkStealingEngine bench(small_config(2));
     const RunRecord record = bench.run(model, 20);
     EXPECT_GT(record.total_ops, 0u);
     EXPECT_GT(record.wall_seconds, 0.0);
@@ -317,7 +320,7 @@ TEST(WorkerPool, EstimatorDrivenNapAdjustsActiveCores)
     tiny.mod = Modulation::kQpsk;
     workload::SteadyModel model(tiny);
 
-    auto cfg = small_config(6, mgmt::Strategy::kNap);
+    auto cfg = small_config(6, mgmt::PowerPolicy::nap());
     WorkStealingEngine bench(cfg);
     bench.set_estimator(mgmt::WorkloadEstimator(table));
     bench.run(model, 5);

@@ -395,7 +395,7 @@ TEST(StreamingObs, ShedDecisionsAreTraced)
 
 TEST(StreamingObs, BacklogAwareEstimatorSeesQueueDepth)
 {
-    // With an estimator installed and a NAP strategy, the streaming
+    // With an estimator installed and a NAP+IDLE policy, the streaming
     // engine feeds the admission backlog into Eq. 4, so sustained
     // overload must produce backlog-boosted estimates.
     mgmt::CalibrationTable table;
@@ -405,7 +405,8 @@ TEST(StreamingObs, BacklogAwareEstimatorSeesQueueDepth)
     }
     const std::size_t n = 60;
     EngineConfig cfg = overload_config(ShedPolicy::kDropOldest);
-    cfg.pool.strategy = mgmt::Strategy::kNapIdle;
+    cfg.proactive = true;
+    cfg.pool.reactive_idle = true;
     auto engine = make_engine(cfg);
     engine->set_estimator(mgmt::WorkloadEstimator(table));
     workload::SteadyModel model(heavy_user());
@@ -424,38 +425,43 @@ TEST(StreamingObs, BacklogAwareEstimatorSeesQueueDepth)
 
 TEST(StreamingObs, EstimateIsRecordedWithoutProactiveStrategy)
 {
-    // With an estimator installed but a strategy that never parks
-    // cores (kNoNap), the engine still records the Eq. 4 estimate in
-    // the series (the multi-cell lane rule; -1 marks "no estimator"
-    // only) and leaves every worker active.
+    // With an estimator installed but a non-proactive policy (NONAP),
+    // both parallel engines still record the Eq. 4 estimate in the
+    // series (-1 marks "no estimator" only) and leave every worker
+    // active.
     mgmt::CalibrationTable table;
     for (std::uint32_t l = 1; l <= 4; ++l) {
         for (Modulation mod : kAllModulations)
             table.set(l, mod, 0.0005 * l);
     }
-    EngineConfig cfg = parity_config(EngineKind::kStreaming);
-    cfg.pool.strategy = mgmt::Strategy::kNoNap;
-    cfg.obs.enabled = true;
-    auto engine = make_engine(cfg);
-    engine->set_estimator(mgmt::WorkloadEstimator(table));
+    for (EngineKind kind :
+         {EngineKind::kStreaming, EngineKind::kWorkStealing}) {
+        SCOPED_TRACE(engine_kind_name(kind));
+        EngineConfig cfg = parity_config(kind);
+        cfg.obs.enabled = true;
+        auto engine = make_engine(cfg);
+        engine->set_estimator(mgmt::WorkloadEstimator(table));
 
-    mgmt::WorkloadEstimator probe{table};
-    probe.set_decode_pricing(mgmt::decode_pricing_for(cfg.receiver));
-    phy::SubframeParams sf;
-    sf.users.push_back(heavy_user());
-    for (std::uint64_t i = 0; i < 3; ++i) {
-        sf.subframe_index = i;
-        engine->process_subframe(sf);
+        mgmt::WorkloadEstimator probe{table};
+        probe.set_decode_pricing(mgmt::decode_pricing_for(cfg.receiver));
+        phy::SubframeParams sf;
+        sf.users.push_back(heavy_user());
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            sf.subframe_index = i;
+            engine->process_subframe(sf);
+        }
+
+        const obs::SubframeSeries *series = engine->subframe_series();
+        ASSERT_NE(series, nullptr);
+        ASSERT_EQ(series->size(), 3u);
+        const double expected = probe.estimate_subframe(sf, 0);
+        EXPECT_GT(expected, 0.0);
+        for (std::size_t i = 0; i < series->size(); ++i)
+            EXPECT_EQ(series->at(i).est_activity, expected)
+                << "subframe " << i;
+        EXPECT_EQ(engine->worker_pool()->active_workers(),
+                  cfg.pool.n_workers);
     }
-
-    const obs::SubframeSeries *series = engine->subframe_series();
-    ASSERT_NE(series, nullptr);
-    ASSERT_EQ(series->size(), 3u);
-    const double expected = probe.estimate_subframe(sf, 0);
-    EXPECT_GT(expected, 0.0);
-    for (std::size_t i = 0; i < series->size(); ++i)
-        EXPECT_EQ(series->at(i).est_activity, expected) << "subframe " << i;
-    EXPECT_EQ(engine->worker_pool()->active_workers(), cfg.pool.n_workers);
 }
 
 } // namespace

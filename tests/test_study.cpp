@@ -69,7 +69,7 @@ TEST(Study, EstimateTracksMeasuredActivity)
     // Fig. 12: per-window estimated vs measured activity.  The paper
     // reports max error 5.4% and average 1.2% on the real machine;
     // the simulator should be in the same regime.
-    auto outcome = shared_study().run_strategy(mgmt::Strategy::kNoNap);
+    auto outcome = shared_study().run_policy(mgmt::PowerPolicy::nonap());
     const auto &intervals = outcome.sim.intervals;
 
     const double window_s = 0.1; // 20 subframes of the compressed run
@@ -103,15 +103,15 @@ TEST(Study, StrategyPowerOrderingMatchesPaper)
 {
     auto &study = shared_study();
     const double nonap =
-        study.run_strategy(mgmt::Strategy::kNoNap).avg_power_w;
+        study.run_policy(mgmt::PowerPolicy::nonap()).avg_power_w;
     const double idle =
-        study.run_strategy(mgmt::Strategy::kIdle).avg_power_w;
+        study.run_policy(mgmt::PowerPolicy::idle()).avg_power_w;
     const double nap =
-        study.run_strategy(mgmt::Strategy::kNap).avg_power_w;
+        study.run_policy(mgmt::PowerPolicy::nap()).avg_power_w;
     const double napidle =
-        study.run_strategy(mgmt::Strategy::kNapIdle).avg_power_w;
+        study.run_policy(mgmt::PowerPolicy::nap_idle()).avg_power_w;
     const double gating =
-        study.run_strategy(mgmt::Strategy::kPowerGating).avg_power_w;
+        study.run_policy(mgmt::PowerPolicy::power_gating()).avg_power_w;
 
     // Table II ordering: NONAP > IDLE >= NAP > NAP+IDLE > PowerGating.
     EXPECT_GT(nonap, idle);
@@ -130,7 +130,7 @@ TEST(Study, StrategyPowerOrderingMatchesPaper)
 TEST(Study, PowerGatingPlanCoversRun)
 {
     auto &study = shared_study();
-    auto outcome = study.run_strategy(mgmt::Strategy::kPowerGating);
+    auto outcome = study.run_policy(mgmt::PowerPolicy::power_gating());
     ASSERT_EQ(outcome.powered.size(), outcome.sim.intervals.size());
     for (std::uint32_t p : outcome.powered) {
         EXPECT_EQ(p % 8, 0u); // whole domains
@@ -152,26 +152,45 @@ TEST(Study, OverloadRaisesMissRateAndRestoresConfig)
 {
     auto &study = shared_study();
     const double nominal_delta = study.config().sim.delta_s;
-    const auto nominal = study.run_strategy(mgmt::Strategy::kNoNap);
+    const auto nominal = study.run_policy(mgmt::PowerPolicy::nonap());
     // 3x overload: subframes arrive at a third of the nominal period,
     // so users pile up and more of them finish past the deadline.
     const auto overloaded =
-        study.run_strategy_overloaded(mgmt::Strategy::kNoNap, 3.0);
+        study.run_policy_overloaded(mgmt::PowerPolicy::nonap(), 3.0);
     EXPECT_GE(overloaded.deadline_miss_rate,
               nominal.deadline_miss_rate);
     EXPECT_GT(overloaded.deadline_miss_rate, 0.0);
     // The overload run must not leak its compressed delta_s.
     EXPECT_DOUBLE_EQ(study.config().sim.delta_s, nominal_delta);
     EXPECT_THROW(
-        study.run_strategy_overloaded(mgmt::Strategy::kNoNap, 0.5),
+        study.run_policy_overloaded(mgmt::PowerPolicy::nonap(), 0.5),
         std::invalid_argument);
+}
+
+TEST(Study, RejectsPolicyInConfig)
+{
+    // The power policy is passed per run; a mechanism enabled on the
+    // config would be silently ignored, so the constructor rejects it.
+    StudyConfig cfg = compressed_config();
+    cfg.sim.policy.dvfs = true;
+    EXPECT_THROW(UplinkStudy study(cfg), std::invalid_argument);
+    for (const mgmt::PowerPolicy &policy :
+         mgmt::PowerPolicy::all_presets()) {
+        cfg.sim.policy = policy;
+        if (policy.proactive || policy.reactive_idle) {
+            EXPECT_THROW(UplinkStudy study(cfg), std::invalid_argument)
+                << policy.name;
+        } else {
+            EXPECT_NO_THROW(UplinkStudy study(cfg)) << policy.name;
+        }
+    }
 }
 
 TEST(Study, RequiresPrepareBeforeRun)
 {
     UplinkStudy study(compressed_config());
     EXPECT_FALSE(study.prepared());
-    EXPECT_THROW(study.run_strategy(mgmt::Strategy::kNap),
+    EXPECT_THROW(study.run_policy(mgmt::PowerPolicy::nap()),
                  std::invalid_argument);
 }
 

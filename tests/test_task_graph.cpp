@@ -89,7 +89,6 @@ graph_config(EngineKind kind, std::size_t n_workers,
     EngineConfig cfg;
     cfg.kind = kind;
     cfg.pool.n_workers = n_workers;
-    cfg.pool.strategy = mgmt::Strategy::kNoNap;
     cfg.receiver.n_antennas = n_antennas;
     cfg.input.n_antennas = n_antennas;
     cfg.input.pool_size = 4;
