@@ -102,6 +102,15 @@ for inflight in 1 4; do
         --gtest_filter='StreamingOverload.*:StreamingParity.*'
 done
 
+# Paced-loop soak under TSan: the dispatch thread waits for "next tick
+# or a job completion" on the pool's completion counter while workers
+# stamp and publish completions; repeated so many wait/notify
+# interleavings run on every engine that paces (one and two lanes,
+# work-stealing).
+echo "==> tsan paced-loop soak (StreamingPaced x20)"
+./build-tsan/tests/test_streaming --gtest_filter='StreamingPaced.*' \
+    --gtest_repeat=20
+
 # Multi-cell soak under TSan: one lane (the single-cell streaming
 # engine's own path) and two cells racing one shared pool through the
 # WRR admission path and the per-cell reap lanes.

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/check.hpp"
+#include "common/cpu.hpp"
 #include "common/rng.hpp"
 #include "mac/mcs.hpp"
 #include "mgmt/core_allocator.hpp"
@@ -334,9 +335,8 @@ ChipFleet::run()
     outcome.chips.resize(plans.size());
     std::vector<std::vector<LoadBucket>> chip_buckets(plans.size());
 
-    unsigned n_threads = config_.n_threads != 0
-        ? config_.n_threads
-        : std::max(1u, std::thread::hardware_concurrency());
+    unsigned n_threads =
+        config_.n_threads != 0 ? config_.n_threads : usable_cpus();
     n_threads = std::min<unsigned>(
         n_threads, static_cast<unsigned>(plans.size()));
 

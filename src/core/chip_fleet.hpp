@@ -55,7 +55,7 @@ struct FleetConfig
     double slo_miss_rate = 0.05;
     /** Master seed; per-cell streams derive deterministically. */
     std::uint64_t seed = 2012;
-    /** Worker threads for the chip runs (0 = hardware concurrency). */
+    /** Worker threads for the chip runs (0 = usable_cpus()). */
     unsigned n_threads = 0;
     /** The shared day shape (period, average load, swing). */
     workload::DiurnalModelConfig diurnal;

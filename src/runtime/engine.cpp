@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <deque>
-#include <thread>
 
 #include "common/check.hpp"
 #include "phy/kernel_scratch.hpp"
@@ -117,11 +116,16 @@ EngineObs::init(const obs::ObsConfig &config, std::size_t n_slots,
 std::uint64_t
 EngineObs::now_ns() const
 {
+    return to_ns(std::chrono::steady_clock::now());
+}
+
+std::uint64_t
+EngineObs::to_ns(std::chrono::steady_clock::time_point tp) const
+{
     if (tracer)
-        return tracer->now_ns();
+        return tracer->to_ns(tp);
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(tp - epoch)
             .count());
 }
 
@@ -289,14 +293,13 @@ WorkStealingEngine::observe_dispatch(SubframeJob &job, double estimate)
 }
 
 void
-WorkStealingEngine::observe_completion(const SubframeJob &job,
-                                       std::uint64_t t_complete_ns)
+WorkStealingEngine::observe_completion(const SubframeJob &job)
 {
     obs::SubframeSample sample;
     sample.subframe_index = job.params.subframe_index;
     sample.cell_id = job.cell_id;
     sample.t_dispatch_ns = job.t_dispatch_ns;
-    sample.t_complete_ns = t_complete_ns;
+    sample.t_complete_ns = obs_.completion_ns(job);
     sample.n_users = static_cast<std::uint32_t>(job.n_users);
     sample.active_workers =
         static_cast<std::uint32_t>(pool_->active_workers());
@@ -311,12 +314,8 @@ WorkStealingEngine::observe_completion(const SubframeJob &job,
 void
 WorkStealingEngine::reap(SubframeJob *job, RunRecord &record)
 {
-    if (obs_.observing()) {
-        // A zero-user job is never submitted: it completes at its
-        // dispatch instant.
-        observe_completion(*job, job->n_users == 0 ? job->t_dispatch_ns
-                                                   : obs_.now_ns());
-    }
+    if (obs_.observing())
+        observe_completion(*job);
     record.subframes.push_back(collect(*job));
     if (config_.feedback) {
         config_.feedback->on_subframe_complete(record.subframes.back(),
@@ -340,7 +339,7 @@ WorkStealingEngine::process_subframe(const phy::SubframeParams &params)
         pool_->wait_idle();
     }
     if (obs_.observing())
-        observe_completion(*job, obs_.now_ns());
+        observe_completion(*job);
 
     outcome_.subframe_index = params.subframe_index;
     outcome_.cell_id = params.cell_id;
@@ -370,15 +369,19 @@ WorkStealingEngine::run(workload::ParameterModel &model,
         std::chrono::duration_cast<clock::duration>(
             std::chrono::duration<double, std::milli>(config_.delta_ms));
 
+    // In-order harvest of every finished subframe at the front.
+    const auto reap_done = [&] {
+        while (!in_flight.empty() && job_done(*in_flight.front())) {
+            reap(in_flight.front(), record);
+            in_flight.pop_front();
+        }
+    };
+
     for (std::size_t i = 0; i < n_subframes; ++i) {
         // Flow control: keep at most max_in_flight subframes open.
         while (in_flight.size() >= config_.max_in_flight) {
-            if (job_done(*in_flight.front())) {
-                reap(in_flight.front(), record);
-                in_flight.pop_front();
-            } else {
-                std::this_thread::yield();
-            }
+            pool_->wait_job(*in_flight.front());
+            reap_done();
         }
 
         const phy::SubframeParams params = model.next_subframe();
@@ -389,9 +392,10 @@ WorkStealingEngine::run(workload::ParameterModel &model,
         SubframeJob *job = job_pool_.acquire();
         job->prepare(params, signals_, config_.receiver);
 
-        // DELTA pacing (paper Sec. IV-B.3).
+        // DELTA pacing (paper Sec. IV-B.3); until the tick, each
+        // subframe is reaped as soon as its last worker finishes it.
         if (config_.delta_ms > 0.0) {
-            std::this_thread::sleep_until(next_dispatch);
+            pool_->reap_until(next_dispatch, reap_done);
             next_dispatch += delta;
         }
 

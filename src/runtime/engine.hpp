@@ -219,6 +219,19 @@ struct EngineObs
      *  metrics are on (accounting must not depend on the tracer). */
     std::uint64_t now_ns() const;
 
+    /** @p tp on the now_ns() clock. */
+    std::uint64_t to_ns(std::chrono::steady_clock::time_point tp) const;
+
+    /** When @p job completed, on the now_ns() clock: the stamp of the
+     *  worker that finished its last user, or its dispatch instant for
+     *  a zero-user job (never submitted, born complete). */
+    std::uint64_t
+    completion_ns(const SubframeJob &job) const
+    {
+        return job.n_users == 0 ? job.t_dispatch_ns
+                                : to_ns(job.t_complete);
+    }
+
     /**
      * Account one completed subframe: a kSubframe span on @p slot from
      * @p t_span_begin to sample.t_complete_ns carrying @p arg, the
@@ -394,8 +407,7 @@ class WorkStealingEngine : public Engine
     /** Stamp a job's dispatch time (and its kDispatch instant). */
     void observe_dispatch(SubframeJob &job, double estimate);
     /** Record one completed job into the series/metrics/trace. */
-    void observe_completion(const SubframeJob &job,
-                            std::uint64_t t_complete_ns);
+    void observe_completion(const SubframeJob &job);
     /** Harvest a completed job into @p record and release it. */
     void reap(SubframeJob *job, RunRecord &record);
 

@@ -239,8 +239,7 @@ class MultiCellEngine
     /** Eq. 5 over the clamped sum of the cells' last estimates. */
     void update_active_workers();
 
-    void observe_completion(CellContext &cell, const SubframeJob &job,
-                            std::uint64_t t_complete_ns);
+    void observe_completion(CellContext &cell, const SubframeJob &job);
     void observe_shed(CellContext &cell, std::uint64_t subframe_index,
                       bool expired);
 

@@ -182,8 +182,7 @@ MultiCellEngine::update_active_workers()
 
 void
 MultiCellEngine::observe_completion(CellContext &cell,
-                                    const SubframeJob &job,
-                                    std::uint64_t t_complete_ns)
+                                    const SubframeJob &job)
 {
     ++cell.shed.completed;
     if (!obs_.observing())
@@ -194,7 +193,7 @@ MultiCellEngine::observe_completion(CellContext &cell,
     // Latency is admission-to-completion: the deadline clock starts
     // at the TTI tick, not at pool admission, so queue wait counts.
     sample.t_dispatch_ns = job.t_arrival_ns;
-    sample.t_complete_ns = t_complete_ns;
+    sample.t_complete_ns = obs_.completion_ns(job);
     sample.n_users = static_cast<std::uint32_t>(job.n_users);
     sample.active_workers =
         static_cast<std::uint32_t>(pool_->active_workers());
@@ -356,7 +355,7 @@ MultiCellEngine::reap_all(MultiCellRunRecord &record)
             SubframeJob *job = cell.executing.front();
             cell.executing.pop_front();
             --total_executing_;
-            observe_completion(cell, *job, obs_.now_ns());
+            observe_completion(cell, *job);
             record.cells[c].subframes.push_back(collect(*job));
             if (config_.engine.feedback) {
                 config_.engine.feedback->on_subframe_complete(
@@ -490,7 +489,7 @@ MultiCellEngine::process_subframe(std::size_t cell_index,
         pool_->submit(job);
         pool_->wait_job(*job);
     }
-    observe_completion(cell, *job, obs_.now_ns());
+    observe_completion(cell, *job);
 
     outcome_.subframe_index = params.subframe_index;
     outcome_.cell_id = params.cell_id;
@@ -634,12 +633,12 @@ MultiCellEngine::run(const std::vector<workload::ParameterModel *> &models,
     for (std::size_t i = 0; i < n_subframes; ++i) {
         // The shared TTI clock: every cell receives one subframe per
         // tick whether or not the pipeline kept up (free-running when
-        // delta_ms == 0).
-        if (config_.engine.delta_ms > 0.0) {
-            std::this_thread::sleep_until(next_arrival);
+        // delta_ms == 0, where next_arrival stays in the past).  Until
+        // the tick, every completed subframe is reaped and fed back as
+        // soon as its last worker finishes it.
+        pool_->reap_until(next_arrival, [&] { reap_all(record); });
+        if (config_.engine.delta_ms > 0.0)
             next_arrival += delta;
-        }
-        reap_all(record);
         for (std::size_t c = 0; c < cells_.size(); ++c) {
             CellContext &cell = *cells_[c];
             phy::SubframeParams params = models[c]->next_subframe();

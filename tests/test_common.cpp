@@ -6,11 +6,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <cmath>
 #include <set>
 #include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/cpu.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -260,6 +263,26 @@ TEST(Check, ThrowTypes)
     EXPECT_THROW(LTE_ASSERT(false, "bug"), std::logic_error);
     EXPECT_NO_THROW(LTE_CHECK(true, ""));
     EXPECT_NO_THROW(LTE_ASSERT(true, ""));
+}
+
+TEST(Cpu, UsableCpusFollowsAffinityMask)
+{
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(usable_cpus(), static_cast<unsigned>(CPU_COUNT(&saved)));
+
+    // Pin this thread to the first CPU it may use, then restore.
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned pinned = usable_cpus();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1u);
 }
 
 TEST(Types, BitsPerSymbol)

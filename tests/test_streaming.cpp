@@ -7,6 +7,9 @@
  * test filter picks them up (multiple subframes genuinely execute
  * concurrently here).
  *
+ * StreamingPaced tests prove a paced run feeds each subframe back when
+ * its last worker finishes it, not at the next tick.
+ *
  * Overload tests read knobs from the environment so CI can sweep a
  * max_inflight matrix without recompiling:
  *   LTE_STREAM_MAX_INFLIGHT   in-flight bound (default 2)
@@ -17,8 +20,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "runtime/engine.hpp"
+#include "runtime/feedback.hpp"
+#include "runtime/multicell.hpp"
 #include "workload/paper_model.hpp"
 #include "workload/steady_model.hpp"
 
@@ -87,6 +93,94 @@ const StreamingEngine &
 as_streaming(const Engine &engine)
 {
     return dynamic_cast<const StreamingEngine &>(engine);
+}
+
+/** A subframe that takes a fraction of a millisecond on any host. */
+phy::UserParams
+small_user()
+{
+    phy::UserParams u;
+    u.id = 0;
+    u.prb = 6;
+    u.layers = 1;
+    u.mod = Modulation::kQpsk;
+    return u;
+}
+
+/** A paced lossless run: one arrival per @p delta_ms, nothing shed. */
+EngineConfig
+paced_config(EngineKind kind, double delta_ms)
+{
+    EngineConfig cfg;
+    cfg.kind = kind;
+    cfg.pool.n_workers = 2;
+    cfg.input.pool_size = 2;
+    cfg.max_in_flight = 3;
+    cfg.delta_ms = delta_ms;
+    return cfg;
+}
+
+/** Records when each subframe's completion feedback fired, on the
+ *  steady clock and (once tracer is set) on the engine's obs clock. */
+struct FeedbackTimes : SubframeFeedbackSink
+{
+    struct Stamp
+    {
+        std::uint32_t cell_id = 0;
+        std::uint64_t subframe_index = 0;
+        std::chrono::steady_clock::time_point at;
+        std::uint64_t obs_ns = 0;
+    };
+
+    void
+    on_subframe_complete(const SubframeOutcome &outcome,
+                         phy::DegradeLevel) override
+    {
+        stamps.push_back({outcome.cell_id, outcome.subframe_index,
+                          std::chrono::steady_clock::now(),
+                          tracer != nullptr ? tracer->now_ns() : 0});
+    }
+    void on_subframe_shed(std::uint32_t, std::uint64_t) override {}
+
+    /** The stamp of (@p cell_id, @p subframe_index); null if none. */
+    const Stamp *
+    find(std::uint32_t cell_id, std::uint64_t subframe_index) const
+    {
+        for (const Stamp &s : stamps) {
+            if (s.cell_id == cell_id && s.subframe_index == subframe_index)
+                return &s;
+        }
+        return nullptr;
+    }
+
+    std::vector<Stamp> stamps;
+    const obs::Tracer *tracer = nullptr;
+};
+
+/**
+ * True when some subframe i < n - 1 was fed back before tick i + 1.
+ * A run's ticks are run_start + k * delta and its run_start is no
+ * earlier than @p t_before (read just before run()), so
+ * t_before + (i + 1) * delta is the earliest tick i + 1 can fire.
+ */
+bool
+fed_back_before_next_tick(const FeedbackTimes &sink,
+                          std::chrono::steady_clock::time_point t_before,
+                          double delta_ms, std::size_t n)
+{
+    using clock = std::chrono::steady_clock;
+    for (const FeedbackTimes::Stamp &s : sink.stamps) {
+        if (s.subframe_index + 1 >= n)
+            continue;
+        const auto next_tick =
+            t_before + std::chrono::duration_cast<clock::duration>(
+                           std::chrono::duration<double, std::milli>(
+                               delta_ms *
+                               static_cast<double>(s.subframe_index + 1)));
+        if (s.at < next_tick)
+            return true;
+    }
+    return false;
 }
 
 // ------------------------------------------------------------ parity
@@ -369,7 +463,115 @@ TEST(StreamingOverload, DegradedResultsDifferButRemainDeterministic)
     EXPECT_NE(mmse_a, mrc_a);
 }
 
+// ------------------------------------------------------------- paced
+
+TEST(StreamingPaced, CompletionFeedbackPrecedesNextTick)
+{
+    // The paced loops wait for "next tick or a completion", so a
+    // 6-PRB subframe is fed back a fraction of a millisecond after its
+    // tick.  A loop that sleeps to tick i + 1 before reaping can never
+    // feed subframe i back earlier; this one fails only if every
+    // subframe takes longer than a whole 20 ms period.
+    constexpr double kDeltaMs = 20.0;
+    constexpr std::size_t kN = 20;
+    using clock = std::chrono::steady_clock;
+
+    for (EngineKind kind :
+         {EngineKind::kStreaming, EngineKind::kWorkStealing}) {
+        SCOPED_TRACE(engine_kind_name(kind));
+        FeedbackTimes sink;
+        sink.stamps.reserve(kN);
+        EngineConfig cfg = paced_config(kind, kDeltaMs);
+        cfg.feedback = &sink;
+        auto engine = make_engine(cfg);
+        workload::SteadyModel model(small_user());
+        const auto t_before = clock::now();
+        engine->run(model, kN);
+        ASSERT_EQ(sink.stamps.size(), kN);
+        EXPECT_TRUE(fed_back_before_next_tick(sink, t_before, kDeltaMs, kN));
+    }
+
+    SCOPED_TRACE("two-lane multi-cell");
+    FeedbackTimes sink;
+    sink.stamps.reserve(2 * kN);
+    MultiCellConfig cfg;
+    cfg.n_cells = 2;
+    cfg.engine = paced_config(EngineKind::kStreaming, kDeltaMs);
+    cfg.engine.feedback = &sink;
+    MultiCellEngine engine(cfg);
+    std::vector<workload::SteadyModel> models(
+        2, workload::SteadyModel(small_user()));
+    const auto t_before = clock::now();
+    engine.run({&models[0], &models[1]}, kN);
+    ASSERT_EQ(sink.stamps.size(), 2 * kN);
+    EXPECT_TRUE(fed_back_before_next_tick(sink, t_before, kDeltaMs, kN));
+}
+
 // --------------------------------------------------------------- obs
+
+/** Every sample in @p series completed no earlier than it arrived and
+ *  no later than the feedback for it fired (both on the obs clock). */
+void
+expect_completion_between_arrival_and_feedback(
+    const obs::SubframeSeries &series, const FeedbackTimes &sink)
+{
+    ASSERT_EQ(series.size(), sink.stamps.size());
+    for (std::size_t i = 0; i < series.size(); ++i) {
+        const obs::SubframeSample &sample = series.at(i);
+        const FeedbackTimes::Stamp *fed =
+            sink.find(sample.cell_id, sample.subframe_index);
+        ASSERT_NE(fed, nullptr) << "subframe " << sample.subframe_index;
+        EXPECT_LE(sample.t_dispatch_ns, sample.t_complete_ns)
+            << "cell " << sample.cell_id << " subframe "
+            << sample.subframe_index;
+        EXPECT_LE(sample.t_complete_ns, fed->obs_ns)
+            << "cell " << sample.cell_id << " subframe "
+            << sample.subframe_index;
+    }
+}
+
+TEST(StreamingObs, CompletionIsStampedByTheFinishingWorker)
+{
+    // A sample's completion time is when its last worker finished, not
+    // when the dispatch thread reaped it: it lies between the arrival
+    // and the feedback callback, in every engine that pipelines.
+    constexpr double kDeltaMs = 2.0;
+    constexpr std::size_t kN = 20;
+    for (EngineKind kind :
+         {EngineKind::kStreaming, EngineKind::kWorkStealing}) {
+        SCOPED_TRACE(engine_kind_name(kind));
+        FeedbackTimes sink;
+        sink.stamps.reserve(kN);
+        EngineConfig cfg = paced_config(kind, kDeltaMs);
+        cfg.obs.enabled = true;
+        cfg.feedback = &sink;
+        auto engine = make_engine(cfg);
+        sink.tracer = engine->tracer();
+        workload::SteadyModel model(heavy_user());
+        engine->run(model, kN);
+        ASSERT_NE(engine->subframe_series(), nullptr);
+        expect_completion_between_arrival_and_feedback(
+            *engine->subframe_series(), sink);
+    }
+
+    SCOPED_TRACE("two-lane multi-cell");
+    FeedbackTimes sink;
+    sink.stamps.reserve(2 * kN);
+    MultiCellConfig cfg;
+    cfg.n_cells = 2;
+    cfg.engine = paced_config(EngineKind::kStreaming, kDeltaMs);
+    cfg.engine.obs.enabled = true;
+    cfg.engine.feedback = &sink;
+    MultiCellEngine engine(cfg);
+    sink.tracer = engine.tracer();
+    workload::SteadyModel heavy(heavy_user());
+    workload::SteadyModel light(small_user());
+    engine.run({&heavy, &light}, kN);
+    ASSERT_NE(engine.subframe_series(), nullptr);
+    expect_completion_between_arrival_and_feedback(
+        *engine.subframe_series(), sink);
+}
+
 
 TEST(StreamingObs, ShedDecisionsAreTraced)
 {
