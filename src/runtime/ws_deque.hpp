@@ -74,13 +74,36 @@ class WsDeque
     std::optional<T>
     steal_top()
     {
+        return steal_top_if([](const T &) { return true; });
+    }
+
+    /** Thief side: steal the oldest task only if @p take accepts it
+     *  (checked under the lock, so the test and the steal are one
+     *  step). */
+    template <typename Pred>
+    std::optional<T>
+    steal_top_if(Pred &&take)
+    {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (count_ == 0)
+        if (count_ == 0 || !take(buffer_[head_]))
             return std::nullopt;
         T task = buffer_[head_];
         head_ = (head_ + 1) & (buffer_.size() - 1);
         --count_;
         return task;
+    }
+
+    /** @p key of the top (oldest) task, read under the lock, or
+     *  nothing when empty.  A hint: the task may be taken right
+     *  after. */
+    template <typename Key>
+    auto
+    peek_top(Key &&key) const -> std::optional<decltype(key(T{}))>
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (count_ == 0)
+            return std::nullopt;
+        return key(buffer_[head_]);
     }
 
     /** Approximate emptiness (racy by nature; fine for polling). */
